@@ -9,6 +9,7 @@ result in this package is exact; nothing rounds.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,9 +44,10 @@ class DivisorBudget:
 
 DEFAULT_BUDGET = DivisorBudget(max_trial=1_000_000)
 
-# Even-index Bernoulli numbers B_0, B_2, B_4, ... computed so far.  Grown
-# monotonically and append-only, so reads are safe once a value exists.
+# Even-index Bernoulli numbers B_0, B_2, B_4, ... computed so far.  Append-only,
+# so reads are safe once a value exists; it grows only under the lock.
 _BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
+_BERNOULLI_LOCK = threading.Lock()
 
 _B1 = Fraction(-1, 2)
 
@@ -60,8 +62,8 @@ def bernoulli(n: int) -> Fraction:
     recurrence bugs.  Odd indices >= 3 are rejected rather than returning
     their (zero) value, since no caller should consume them.
 
-    Values are computed eagerly up to the requested index and cached (the
-    recurrence is quadratic and shared by many operations).
+    Values are computed eagerly up to the requested index and cached under
+    a lock (the recurrence is quadratic and shared by many operations).
     """
     if n < 0:
         raise DomainError(f"Bernoulli index must be >= 0, got {n}")
@@ -70,12 +72,13 @@ def bernoulli(n: int) -> Fraction:
     if n % 2 == 1:
         raise DomainError(f"odd Bernoulli index {n} rejected (B_n = 0 for odd n >= 3)")
     half = n // 2
-    for m in range(len(_BERNOULLI_EVEN), half + 1):
-        nn = 2 * m
-        acc = (nn + 1) * _B1
-        for j in range(m):
-            acc += math.comb(nn + 1, 2 * j) * _BERNOULLI_EVEN[j]
-        _BERNOULLI_EVEN.append(-acc / (nn + 1))
+    with _BERNOULLI_LOCK:
+        for m in range(len(_BERNOULLI_EVEN), half + 1):
+            nn = 2 * m
+            acc = (nn + 1) * _B1
+            for j in range(m):
+                acc += math.comb(nn + 1, 2 * j) * _BERNOULLI_EVEN[j]
+            _BERNOULLI_EVEN.append(-acc / (nn + 1))
     return _BERNOULLI_EVEN[half]
 
 

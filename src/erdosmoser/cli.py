@@ -213,7 +213,7 @@ def _cmd_candidates(args):
 
 
 def _cmd_signs(args):
-    reports = sign_summary(args.k_max)
+    reports = sign_summary(args.k_max, DivisorBudget(args.trial_budget))
     rows = []
     zeros = 0
     for r in reports:
@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
                         help="emit exact value columns alongside floats")
     common.add_argument("--jobs", type=int, default=1,
-                        help="shard count for range scans (default: 1)")
+                        help="shard count accepted by search; the scan runs serially "
+                        "and output never depends on it (default: 1)")
     common.add_argument("--trial-budget", type=int, default=1_000_000,
                         help="largest trial divisor attempted when factoring")
 

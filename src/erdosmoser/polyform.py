@@ -134,7 +134,6 @@ def quotient_poly(k: int) -> IntPoly:
     return IntPoly(poly.coeffs[1:])
 
 
-@lru_cache(maxsize=None)
 def full_eml_poly(k: int) -> ClearedPoly:
     """The exact power-sum difference as an integer polynomial.
 

@@ -1,20 +1,16 @@
-"""Brute-force exact verification of the power-sum equation over finite
-(k, m) ranges.
-
-A hit means literal equality of big integers.  For each k the running sum
-is carried incrementally (one addition per m), keeping a full sweep linear
-in the number of grid points instead of quadratic.
+"""Exact location of the sign change of S(m-1,k) - m^k, and the search
+for exact solutions built on it.  A hit means literal equality of big
+integers; the work per k is linear in its crossing point, not in m_hi.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .powersum import PowerSumQuery, sum_direct
 
-__all__ = ["SearchHit", "check_pair", "find_solutions"]
+__all__ = ["SearchHit", "check_pair", "find_solutions", "first_nonnegative"]
 
 
 @dataclass(frozen=True, order=True)
@@ -34,16 +30,37 @@ def check_pair(k: int, m: int) -> bool:
     return sum_direct(PowerSumQuery(m - 1, k)) == m**k
 
 
+def first_nonnegative(k: int, m_lo: int, m_hi: int) -> tuple[int, int] | None:
+    """(m, S(m-1,k) - m^k) at the first m in [m_lo, m_hi] where that
+    difference is >= 0, or None if there is none.  The direct sum is
+    carried upward one addition per m, so every difference is exact.
+    """
+    running = sum_direct(PowerSumQuery(m_lo - 1, k))
+    for m in range(m_lo, m_hi + 1):
+        power = m**k
+        if running >= power:
+            return m, running - power
+        running += power
+    return None
+
+
 def find_solutions(
     k_range: tuple[int, int], m_range: tuple[int, int], shards: int = 1
 ) -> list[SearchHit]:
     """All hits with k and m in the given inclusive ranges, (k, m) sorted.
 
-    Work is sharded by k -- each k keeps its own incremental sum -- and
-    the merged result is sorted, so the output is identical for any shard
-    count.  The running difference turning back non-positive after having
-    been positive would contradict the single-crossing picture and raises
-    :class:`InternalConsistencyError` rather than being ignored.
+    Each k is scanned only up to its first non-negative difference, which
+    is a hit when it is exactly zero.  This is complete by the lemma:
+
+    *For k >= 1, R_k(m) = S(m-1,k)/m^k is strictly increasing in m >= 2.*
+    Proof: R_k(m) = sum_{j=1}^{m-1} (j/m)^k = sum_{j=1}^{m-1} (1 - j/m)^k.
+    Each summand (1 - j/m)^k > 0 grows strictly with m, and going from m
+    to m+1 adds the positive summand j = m.  Since
+    S(m-1,k) - m^k = m^k (R_k(m) - 1), the difference is negative, then
+    zero at most once, then positive for every larger m.
+
+    ``shards`` must be >= 1; each k costs only as many steps as its
+    crossing point, so the scan runs serially whatever the shard count.
     """
     k_lo, k_hi = k_range
     m_lo, m_hi = m_range
@@ -53,29 +70,5 @@ def find_solutions(
         raise DomainError(f"invalid m range [{m_lo}, {m_hi}]")
     if shards < 1:
         raise DomainError(f"shard count must be >= 1, got {shards}")
-    ks = range(k_lo, k_hi + 1)
-    if shards == 1:
-        shard_hits = [_scan_one_k(k, m_lo, m_hi) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            shard_hits = list(pool.map(lambda k: _scan_one_k(k, m_lo, m_hi), ks))
-    return sorted(hit for hits in shard_hits for hit in hits)
-
-
-def _scan_one_k(k: int, m_lo: int, m_hi: int) -> list[SearchHit]:
-    hits = []
-    running = sum_direct(PowerSumQuery(m_lo - 1, k))
-    turned_positive = False
-    for m in range(m_lo, m_hi + 1):
-        power = m**k
-        diff = running - power
-        if diff == 0:
-            hits.append(SearchHit(k, m))
-        if diff > 0:
-            turned_positive = True
-        elif turned_positive:
-            raise InternalConsistencyError(
-                f"difference returned to {diff} at k={k}, m={m} after turning positive"
-            )
-        running += power
-    return hits
+    crossings = ((k, first_nonnegative(k, m_lo, m_hi)) for k in range(k_lo, k_hi + 1))
+    return [SearchHit(k, found[0]) for k, found in crossings if found and found[1] == 0]

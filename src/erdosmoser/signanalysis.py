@@ -16,9 +16,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CASE_ORDER, CaseKind, candidate_roots, highlighted_candidates
 from .errors import DomainError, InternalConsistencyError
-from .polyform import cleared_poly, eval_poly, full_eml_poly
+from .polyform import cleared_poly, eval_poly
+from .search import first_nonnegative
 
 __all__ = [
     "EXACT_CUTOFF_DEFAULT",
@@ -110,9 +112,9 @@ def sign_at(k: int, m0: int, case: Optional[CaseKind] = FULL_SET) -> SignReport:
     return SignReport(k, m0, case, value, Sign.of(value))
 
 
-def sign_summary(k_max: int) -> list[SignReport]:
-    """Sign reports for every named candidate and every enumerated integer
-    candidate with k <= k_max, in canonical (k, case, m0) order.
+def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[SignReport]:
+    """Sign reports for every named candidate and every integer candidate
+    enumerated within ``budget``, k <= k_max, in (k, case, m0) order.
 
     ZERO entries are data, not errors; callers decide how loudly to react.
     Per-k evaluations are independent (parallelizable by k); the final
@@ -124,7 +126,7 @@ def sign_summary(k_max: int) -> list[SignReport]:
     for k in range(2, k_max + 1):
         for case, m0 in highlighted_candidates(k):
             reports.append(sign_at(k, m0, case))
-        for m0 in candidate_roots(k).integer_candidates_ge3:
+        for m0 in candidate_roots(k, budget).integer_candidates_ge3:
             reports.append(sign_at(k, m0, FULL_SET))
     reports.sort(key=_report_key)
     return reports
@@ -244,22 +246,22 @@ def asymptotic_value(m: int, k: int) -> Fraction:
 
 
 def sign_threshold(k: int) -> tuple[Fraction, int]:
-    """(predicted crossing 3(k+1)/2, first integer m >= 3 where the exact
-    full-expansion polynomial turns positive).
+    """(predicted crossing 3(k+1)/2, first integer m >= 3 where S(m-1,k) - m^k
+    turns positive; the full-expansion polynomial is D > 0 times it).
 
-    Scans upward in exact arithmetic, so every m below the returned
-    crossing was observed <= 0.  k = 1 is admitted for completeness: the
-    scan passes the exact zero at m = 3 (the known solution) and reports
-    the first strictly positive point, m = 4.  No crossing below the scan
-    bound 4(k+2) would contradict the crossing analysis and raises
-    :class:`InternalConsistencyError`.
+    Scans upward from m = 3 with exact direct sums, so every m below the
+    returned crossing was observed <= 0.  For k = 1 the scan passes the
+    exact zero at m = 3 (the known solution) and reports m = 4.  No crossing
+    below the scan bound 4(k+2) raises :class:`InternalConsistencyError`.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     predicted = Fraction(3 * (k + 1), 2)
-    poly = full_eml_poly(k).poly
     bound = 4 * (k + 2)
-    for m in range(3, bound + 1):
-        if eval_poly(poly, m) > 0:
+    m_lo = 3
+    while (found := first_nonnegative(k, m_lo, bound)) is not None:
+        m, diff = found
+        if diff > 0:
             return predicted, m
+        m_lo = m + 1
     raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")

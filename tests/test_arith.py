@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erdosmoser import arith
 from erdosmoser.arith import (
     DivisorBudget,
     bernoulli,
@@ -153,3 +156,30 @@ class TestLcmAll:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             lcm_all([3, 0])
+
+
+class TestBernoulliConcurrency:
+    def test_cold_cache_filled_by_concurrent_callers(self):
+        # Four first-time callers race to fill the append-only cache; a
+        # shortened switch interval makes an unlocked fill interleave.
+        serial = [bernoulli(2 * i) for i in range(151)]
+        saved = list(arith._BERNOULLI_EVEN)
+        results = []
+        old_interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            del arith._BERNOULLI_EVEN[1:]
+            threads = [
+                threading.Thread(target=lambda: results.append(bernoulli(300)))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [serial[150]] * 4
+            assert arith._BERNOULLI_EVEN == serial
+        finally:
+            sys.setswitchinterval(old_interval)
+            arith._BERNOULLI_EVEN[:] = saved

@@ -230,3 +230,15 @@ class TestOutputContract:
         _, wide, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "12")
         _, narrow, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "2")
         assert "7.5" in wide and "7.5" in narrow
+
+
+class TestSignsBudget:
+    def test_trial_budget_exceeded_is_3(self, capsys):
+        # candidates for some k <= 10 need trial divisors above 2
+        code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "2")
+        assert code == 3 and "trial budget 2" in err and out == ""
+
+    def test_default_budget_matches_explicit(self, capsys):
+        _, default, _ = run_cli(capsys, "signs", "--k-max", "30")
+        _, explicit, _ = run_cli(capsys, "signs", "--k-max", "30", "--trial-budget", "1000000")
+        assert default == explicit
