@@ -17,12 +17,14 @@ from .polyform import (
     ClearedPoly,
     IntPoly,
     cleared_poly,
+    cleared_value,
     constant_and_linear_terms,
+    eml_multiplier,
     eval_poly,
     full_eml_poly,
     quotient_poly,
 )
-from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
+from .powersum import PowerSumQuery, eml_terms, sum_direct, sum_eml_exact
 from .search import SearchHit, check_pair, find_solutions
 from .signanalysis import (
     FULL_SET,
@@ -66,12 +68,15 @@ __all__ = [
     "candidate_roots",
     "check_pair",
     "cleared_poly",
+    "cleared_value",
     "constant_and_linear_terms",
     "correction_ratio",
     "divisors",
     "dominance_limit",
     "dominance_ratio",
     "dominance_series",
+    "eml_multiplier",
+    "eml_terms",
     "eval_poly",
     "falling_factorial",
     "find_solutions",

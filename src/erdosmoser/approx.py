@@ -9,12 +9,12 @@ truncation error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .arith import bernoulli, falling_factorial
 from .errors import DomainError
+from .powersum import eml_terms
 
 __all__ = [
     "RealArg",
@@ -90,12 +90,8 @@ def sum_eml_truncated(arg: RealArg, k: int, p: int) -> Fraction:
         raise DomainError(f"correction count must be >= 0, got {p}")
     b = arg.m - 1
     total = sum_eml_leading(arg, k)
-    for r in range(1, p + 1):
-        drop = 2 * r - 1
-        if drop > k:
-            break
-        weight = bernoulli(2 * r) * falling_factorial(k, drop) / math.factorial(2 * r)
-        total += weight * (b ** (k - drop) - 1)
+    for e, weight in islice(eml_terms(k), p):
+        total += weight * (b**e - 1)
     return total
 
 

@@ -2,8 +2,8 @@
 JSON on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
-budget exceeded.  Output is byte-identical across runs and across --jobs
-values; figures are emitted as data, never rendered.
+budget exceeded.  Output is byte-identical across runs and, for search,
+across --jobs values; figures are emitted as data, never rendered.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading
 from .arith import DivisorBudget
 from .candidates import CaseKind, candidate_roots
 from .errors import BudgetExceededError, DomainError
-from .polyform import cleared_poly, eval_poly, full_eml_poly
+from .polyform import cleared_poly, full_eml_poly
 from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
 from .search import find_solutions
-from .signanalysis import Sign, dominance_ratio, dominance_series, sign_summary, sign_threshold
+from .signanalysis import Sign, dominance_ratio, dominance_series, sign_at, sign_summary, sign_threshold
 
 SCHEMA_VERSION = "1"
 
@@ -134,8 +134,6 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[dict]
 def _validate_common(args) -> None:
     if not 1 <= args.digits <= 50:
         raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     if args.trial_budget < 2:
         raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
 
@@ -278,6 +276,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_search(args):
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     hits = find_solutions(args.k, args.m, shards=args.jobs)
     rows = [{"k": hit.k, "m": hit.m} for hit in hits]
     params = {
@@ -326,12 +326,11 @@ def _cmd_figure2(args):
     rows = []
     for case in CaseKind:
         for k in range(case.min_k, args.k_to + 1, 2):
-            m0 = case.candidate(k)
-            value = eval_poly(cleared_poly(k).poly, m0)
+            report = sign_at(k, case.candidate(k), case)
             point = dominance_ratio(k, case)
-            row = {"case": case.name, "k": k, "m0": m0}
-            row.update(_triplet("value", value, args.exact))
-            row["sign"] = Sign.of(value).name
+            row = {"case": case.name, "k": k, "m0": report.m0}
+            row.update(_triplet("value", report.value, args.exact))
+            row["sign"] = report.sign.name
             row["ratio"] = point.value
             row["limit"] = point.limit
             rows.append(row)
@@ -351,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decimal digits for float columns (default: 6)")
     common.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
                         help="emit exact value columns alongside floats")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="shard count accepted by search; the scan runs serially "
-                        "and output never depends on it (default: 1)")
     common.add_argument("--trial-budget", type=int, default=1_000_000,
                         help="largest trial divisor attempted when factoring")
 
@@ -410,6 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="brute-force scan for exact solutions")
     p.add_argument("--k", type=_range_arg, required=True, metavar="LO..HI")
     p.add_argument("--m", type=_range_arg, required=True, metavar="LO..HI")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="shard count; must be >= 1, the scan runs serially and "
+                   "output never depends on it (default: 1)")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("figure1", parents=[common],

@@ -10,6 +10,8 @@ Two cleared forms are built here:
 * ``cleared_poly`` -- 2(k+1) times the leading (integral + boundary)
   approximation of the power-sum difference, the degree-(k+1) polynomial
   whose rational roots are enumerated by :mod:`erdosmoser.candidates`;
+  ``cleared_value`` gives its value at one integer m from the closed form,
+  without expanding it;
 * ``full_eml_poly`` -- the exact difference with every Bernoulli
   correction included, multiplied by the least common multiple D of all
   denominators, so that dividing its integer values by D reproduces the
@@ -21,17 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
-from .arith import bernoulli, binomial, falling_factorial, lcm_all
+from .arith import binomial
 from .errors import DomainError, InternalConsistencyError
+from .powersum import eml_terms
 
 __all__ = [
     "ClearedPoly",
     "IntPoly",
     "cleared_poly",
+    "cleared_value",
     "constant_and_linear_terms",
+    "eml_multiplier",
     "eval_poly",
     "full_eml_poly",
     "quotient_poly",
@@ -84,15 +88,15 @@ class ClearedPoly:
     multiplier: int
 
 
-@lru_cache(maxsize=None)
 def cleared_poly(k: int) -> ClearedPoly:
     """2(m-1)^{k+1} + (k+1)(m-1)^k - 2(k+1) m^k + (k-1), fully expanded.
 
     Degree k + 1, leading coefficient 2.  The constant term is 2(k-1) for
-    even k and 0 for odd k (so m factors out in the odd case).
+    even k and 0 for odd k (so m factors out in the odd case).  Build it
+    only where the coefficients are the result; nothing is cached.  A value
+    at integer m comes cheaper from :func:`cleared_value`.
     """
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")
+    _require_exponent(k)
     c = [0] * (k + 2)
     for i in range(k + 2):
         c[i] += 2 * binomial(k + 1, i) * (-1) ** (k + 1 - i)
@@ -101,6 +105,18 @@ def cleared_poly(k: int) -> ClearedPoly:
     c[k] -= 2 * (k + 1)
     c[0] += k - 1
     return ClearedPoly(IntPoly(tuple(c)), k, 2 * (k + 1))
+
+
+def cleared_value(k: int, m: int) -> int:
+    """The cleared polynomial at integer m from the closed form
+    (2(m-1) + k + 1)(m-1)^k - 2(k+1) m^k + (k-1): two big-integer powers and
+    no expansion.  Identically
+    ``cleared_value(k, m) == eval_poly(cleared_poly(k).poly, m)``, which the
+    tests check with Horner evaluation as the oracle.
+    """
+    _require_exponent(k)
+    b = m - 1
+    return (2 * b + k + 1) * b**k - 2 * (k + 1) * m**k + k - 1
 
 
 def constant_and_linear_terms(k: int) -> tuple[int, int]:
@@ -134,24 +150,30 @@ def quotient_poly(k: int) -> IntPoly:
     return IntPoly(poly.coeffs[1:])
 
 
+def eml_multiplier(k: int) -> int:
+    """D = lcm(k+1, (2*floor(k/2))!), which clears the denominators k+1, 2
+    and (2r)!, r = 1..floor(k/2), of :func:`full_eml_poly`: each (2r)!
+    divides the largest, which is even for k >= 2 (for k = 1, 2 = k+1).
+    """
+    _require_exponent(k)
+    return math.lcm(k + 1, math.factorial(2 * (k // 2)))
+
+
 def full_eml_poly(k: int) -> ClearedPoly:
     """The exact power-sum difference as an integer polynomial.
 
     Expands the full Euler-Maclaurin form of sum_{i=1}^{m-1} i^k - m^k
-    with rational coefficients, then multiplies by
-
-        D = lcm(k+1, 2, (2r)! for r = 1..floor(k/2))
-
-    which clears every denominator.  Degree k + 1, leading coefficient
-    D/(k+1).  The constant term is whatever the expansion produces; it is
-    not assembled from a separate closed form.  Master identity, asserted
-    by the tests:  poly(m) == D * (sum_{i<m} i^k - m^k) for integer m.
+    with rational coefficients (corrections from
+    :func:`erdosmoser.powersum.eml_terms`), then multiplies by
+    D = :func:`eml_multiplier`, which clears every denominator.  Degree
+    k + 1, leading coefficient D/(k+1).  The constant term is whatever the
+    expansion produces; it is not assembled from a separate closed form.
+    Master identity, asserted by the tests:
+    poly(m) == D * (sum_{i<m} i^k - m^k) for integer m.
 
     D grows factorially with k; memory is the only practical limit.
     """
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")
-    pmax = k // 2
+    _require_exponent(k)
     coeffs = [Fraction(0)] * (k + 2)
     # ((m-1)^{k+1} - 1)/(k+1)
     for i in range(k + 2):
@@ -164,14 +186,11 @@ def full_eml_poly(k: int) -> ClearedPoly:
     # -m^k
     coeffs[k] -= 1
     # Bernoulli corrections
-    for r in range(1, pmax + 1):
-        drop = 2 * r - 1
-        weight = bernoulli(2 * r) * falling_factorial(k, drop) / math.factorial(2 * r)
-        e = k - drop
+    for e, weight in eml_terms(k):
         for i in range(e + 1):
             coeffs[i] += weight * binomial(e, i) * (-1) ** (e - i)
         coeffs[0] -= weight
-    multiplier = lcm_all([k + 1, 2] + [math.factorial(2 * r) for r in range(1, pmax + 1)])
+    multiplier = eml_multiplier(k)
     cleared = []
     for i, c in enumerate(coeffs):
         v = c * multiplier
@@ -181,3 +200,8 @@ def full_eml_poly(k: int) -> ClearedPoly:
             )
         cleared.append(int(v))
     return ClearedPoly(IntPoly(tuple(cleared)), k, multiplier)
+
+
+def _require_exponent(k: int) -> None:
+    if k < 1:
+        raise DomainError(f"exponent must be >= 1, got {k}")

@@ -11,13 +11,14 @@ agree exactly, integer for integer.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import bernoulli, falling_factorial
 from .errors import DomainError, InternalConsistencyError
 
-__all__ = ["PowerSumQuery", "sum_direct", "sum_eml_exact"]
+__all__ = ["PowerSumQuery", "eml_terms", "sum_direct", "sum_eml_exact"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,20 @@ class PowerSumQuery:
             raise DomainError(f"exponent must be >= 1, got {self.k}")
 
 
+def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:
+    """Bernoulli corrections of the Euler-Maclaurin expansion of
+    sum_{i=1}^n i^k: (exponent k-(2r-1), weight B_{2r}/(2r)! * k_(2r-1)) for
+    r = 1..floor(k/2), the r-th correction being weight * (n^exponent - 1).
+
+    ``k_(j)`` is the falling factorial; corrections of derivative order
+    above k vanish.  Lazy, so taking the first p terms computes only the
+    Bernoulli numbers they need.
+    """
+    for r in range(1, k // 2 + 1):
+        drop = 2 * r - 1
+        yield k - drop, bernoulli(2 * r) * falling_factorial(k, drop) / math.factorial(2 * r)
+
+
 def sum_direct(q: PowerSumQuery) -> int:
     """Sum of i^k for i = 1..n by literal addition; 0 when n = 0."""
     return sum(i**q.k for i in range(1, q.n + 1))
@@ -45,20 +60,16 @@ def sum_eml_exact(q: PowerSumQuery) -> Fraction:
         integral_1^n x^k dx  +  (1^k + n^k)/2
           + sum_{r=1}^{floor(k/2)}  B_{2r}/(2r)! * k_(2r-1) * (n^{k-(2r-1)} - 1)
 
-    where ``k_(j)`` is the falling factorial.  Corrections with derivative
-    order above k vanish, so the sum stops at floor(k/2); r-values beyond
-    that would contribute nothing.  The result is always integer-valued
-    (denominator 1); anything else is a bug and raises
+    with the corrections from :func:`eml_terms`.  The result is always
+    integer-valued (denominator 1); anything else is a bug and raises
     :class:`InternalConsistencyError`.
     """
     if q.n < 1:
         raise DomainError("expansion requires n >= 1 (integral lower bound is 1)")
     n, k = q.n, q.k
     total = Fraction(n ** (k + 1) - 1, k + 1) + Fraction(1 + n**k, 2)
-    for r in range(1, k // 2 + 1):
-        drop = 2 * r - 1
-        weight = bernoulli(2 * r) * falling_factorial(k, drop) / math.factorial(2 * r)
-        total += weight * (n ** (k - drop) - 1)
+    for e, weight in eml_terms(k):
+        total += weight * (n**e - 1)
     if total.denominator != 1:
         raise InternalConsistencyError(
             f"expansion for n={n}, k={k} is not an integer: {total}"

@@ -1,11 +1,13 @@
 """Exact sign evaluation at candidate roots, the per-case dominance
 ratios with their limits, and the large-m sign-crossing analysis.
 
-Signs come from exact integer evaluation of the cleared polynomial, never
-from floats.  The dominance ratio |negative term group| / (positive term
-group) explains WHY a sign holds at a candidate: above 1 the lone negative
-term wins, below 1 the positive group does.  Ratios are exact rationals up
-to a cutoff and log-space floats beyond it, where only limits matter.
+Values come from the integer closed form of the cleared polynomial
+(``polyform.cleared_value``), never from floats; the expanded polynomial
+equals it identically.  The dominance ratio |negative term group| /
+(positive term group) explains WHY a sign holds at a candidate: above 1
+the lone negative term wins, below 1 the positive group does.  Ratios are
+exact rationals up to a cutoff and log-space floats beyond it, where only
+limits matter.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CASE_ORDER, CaseKind, candidate_roots, highlighted_candidates
 from .errors import DomainError, InternalConsistencyError
-from .polyform import cleared_poly, eval_poly
+from .polyform import cleared_value
 from .search import first_nonnegative
 
 __all__ = [
@@ -103,12 +105,13 @@ class RatioSeries:
 
 
 def sign_at(k: int, m0: int, case: Optional[CaseKind] = FULL_SET) -> SignReport:
-    """Evaluate the cleared polynomial at integer m0 and classify the sign."""
+    """Evaluate the cleared polynomial's closed form at integer m0 and
+    classify the sign."""
     if k < 2:
         raise DomainError(f"sign analysis requires k >= 2, got {k}")
     if m0 < 3:
         raise DomainError(f"candidates are constrained to m0 >= 3, got {m0}")
-    value = eval_poly(cleared_poly(k).poly, m0)
+    value = cleared_value(k, m0)
     return SignReport(k, m0, case, value, Sign.of(value))
 
 

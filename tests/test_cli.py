@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from erdosmoser.cli import main
+from erdosmoser.polyform import cleared_poly, eval_poly
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,15 @@ class TestSearchCommand:
         _, out4, _ = run_cli(capsys, "search", "--k", "1..6", "--m", "3..200", "--jobs", "4")
         assert out1 == out4
 
+    def test_jobs_below_one_is_2(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--k", "1..3", "--m", "3..9", "--jobs", "0")
+        assert code == 2 and "--jobs" in err
+
+    def test_jobs_rejected_outside_search(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--k", "3", "--m", "5", "--jobs", "4"])
+        assert exc.value.code == 1
+
     def test_header_present_without_hits(self, capsys):
         _, out, _ = run_cli(capsys, "search", "--k", "2..2", "--m", "3..10")
         assert out.splitlines() == ["k,m"]
@@ -242,3 +252,23 @@ class TestSignsBudget:
         _, default, _ = run_cli(capsys, "signs", "--k-max", "30")
         _, explicit, _ = run_cli(capsys, "signs", "--k-max", "30", "--trial-budget", "1000000")
         assert default == explicit
+
+
+def horner_values(rows):
+    """The value column rebuilt by Horner on the expanded cleared polynomial."""
+    polys = {k: cleared_poly(k).poly for k in {int(r["k"]) for r in rows}}
+    return [str(eval_poly(polys[int(r["k"])], int(r["m0"]))) for r in rows]
+
+
+class TestValuesMatchHorner:
+    def test_figure2(self, capsys):
+        _, out, _ = run_cli(capsys, "figure2", "--k-to", "60")
+        rows = parse_csv(out)
+        assert len(rows) == 144
+        assert [r["value"] for r in rows] == horner_values(rows)
+
+    def test_signs(self, capsys):
+        _, out, _ = run_cli(capsys, "signs", "--k-max", "60", "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert rows
+        assert [r["value"] for r in rows] == horner_values(rows)

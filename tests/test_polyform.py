@@ -1,13 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from erdosmoser.approx import RealArg, sum_eml_leading
+from erdosmoser.arith import lcm_all
+from erdosmoser.candidates import candidate_roots, highlighted_candidates
 from erdosmoser.errors import DomainError
 from erdosmoser.polyform import (
     IntPoly,
     cleared_poly,
+    cleared_value,
     constant_and_linear_terms,
+    eml_multiplier,
     eval_poly,
     full_eml_poly,
     quotient_poly,
@@ -83,6 +88,28 @@ class TestCoefficientLaws:
             assert a0 == (2 * (k - 1) if k % 2 == 0 else 0), k
 
 
+class TestClearedValue:
+    # Horner on the expanded polynomial is the oracle for the closed form.
+    def test_matches_horner_at_every_candidate(self):
+        # criterion 5's grid: highlighted and integer candidates, k <= 200
+        for k in range(2, 201):
+            poly = cleared_poly(k).poly
+            points = [m0 for _, m0 in highlighted_candidates(k)]
+            points += candidate_roots(k).integer_candidates_ge3
+            for m in points:
+                assert cleared_value(k, m) == eval_poly(poly, m), (k, m)
+
+    def test_matches_horner_on_small_m(self):
+        for k in range(1, 41):
+            poly = cleared_poly(k).poly
+            for m in range(3, 4 * (k + 2) + 1):
+                assert cleared_value(k, m) == eval_poly(poly, m), (k, m)
+
+    def test_bad_exponent(self):
+        with pytest.raises(DomainError):
+            cleared_value(0, 5)
+
+
 class TestQuotientPoly:
     def test_k3(self):
         assert quotient_poly(3).coeffs == (4, 0, -12, 2)  # 2m^3 - 12m^2 + 4
@@ -113,6 +140,12 @@ class TestFullEmlPoly:
         cp = full_eml_poly(4)
         assert cp.multiplier == 120  # lcm(5, 2, 2!, 4!)
         assert cp.poly.coeffs[-1] == 24  # D/(k+1)
+
+    def test_multiplier_is_lcm_of_all_denominators(self):
+        # lcm(k+1, (2*floor(k/2))!) == lcm(k+1, 2, (2r)! for r = 1..floor(k/2))
+        for k in range(1, 201):
+            factorials = [math.factorial(2 * r) for r in range(1, k // 2 + 1)]
+            assert eml_multiplier(k) == lcm_all([k + 1, 2] + factorials), k
 
     def test_degree_and_leading_law(self):
         for k in range(1, 31):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdosmoser.errors import DomainError
-from erdosmoser.powersum import PowerSumQuery, sum_direct, sum_eml_exact
+from erdosmoser.powersum import PowerSumQuery, eml_terms, sum_direct, sum_eml_exact
 
 
 class TestQuery:
@@ -63,3 +63,16 @@ class TestSumEmlExact:
             for n in range(1, 61):
                 running += n**k
                 assert sum_eml_exact(PowerSumQuery(n, k)) == running, (n, k)
+
+
+class TestEmlTerms:
+    def test_hand_values(self):
+        # k = 4: B_2/2! * 4 = 1/3 on n^3, B_4/4! * 4*3*2 = -1/30 on n^1
+        assert list(eml_terms(4)) == [(3, Fraction(1, 3)), (1, Fraction(-1, 30))]
+
+    def test_no_corrections_for_k1(self):
+        assert list(eml_terms(1)) == []
+
+    def test_terms_are_lazy(self):
+        # the first term needs only B_2, however large k is
+        assert next(eml_terms(10**6)) == (10**6 - 1, Fraction(10**6, 12))
