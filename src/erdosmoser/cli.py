@@ -2,8 +2,10 @@
 JSON on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
-budget exceeded.  Output is byte-identical across runs and, for search,
-across --jobs values; figures are emitted as data, never rendered.
+budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
+the output ended, as in ``erdosmoser figure1 | head``.  Output is
+byte-identical across runs and, for search, across --jobs values; figures
+are emitted as data, never rendered.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import __version__
 from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
 from .arith import DivisorBudget
 from .candidates import CaseKind, candidate_roots
 from .errors import BudgetExceededError, DomainError
-from .polyform import cleared_poly, full_eml_poly
+from .polyform import cleared_poly, cleared_value, full_eml_poly
 from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
 from .search import find_solutions
 from .signanalysis import Sign, dominance_ratio, dominance_series, sign_at, sign_summary, sign_threshold
@@ -69,23 +72,16 @@ def _exact(value: Union[int, Fraction]) -> str:
     return str(value)
 
 
-def _log10_abs(value: Union[int, Fraction]) -> Optional[float]:
-    if value == 0:
-        return None
-    f = Fraction(value)
-    return math.log10(abs(f.numerator)) - math.log10(f.denominator)
-
-
-def _sign_int(value: Union[int, Fraction]) -> int:
-    return (value > 0) - (value < 0)
-
-
-def _triplet(name: str, value, include_exact: bool) -> dict:
+def _triplet(name: str, num: int, den: int, include_exact: bool) -> dict:
+    """Exact, ``_log10`` and ``_sign`` cells of num/den, given in lowest
+    terms with den > 0; ints and Fractions pass their ``.numerator`` and
+    ``.denominator``.  The exact cell is what ``str(Fraction(num, den))``
+    gives."""
     cells = {}
     if include_exact:
-        cells[name] = _exact(value)
-    cells[f"{name}_log10"] = _log10_abs(value)
-    cells[f"{name}_sign"] = _sign_int(value)
+        cells[name] = str(num) if den == 1 else f"{num}/{den}"
+    cells[f"{name}_log10"] = math.log10(abs(num)) - math.log10(den) if num else None
+    cells[f"{name}_sign"] = (num > 0) - (num < 0)
     return cells
 
 
@@ -114,7 +110,8 @@ def _json_cell(value, digits: int):
     return value
 
 
-def _emit(args, command: str, params: dict, columns: list[str], rows: list[dict]) -> None:
+def _emit(args, command: str, params: dict, columns: list[str], rows: Iterable[dict]) -> None:
+    """CSV writes each row as it arrives; JSON collects them into its one object."""
     digits = args.digits
     if args.format == "json":
         doc = {
@@ -157,22 +154,19 @@ def _cmd_sum(args):
 def _cmd_approx(args):
     arg = RealArg(args.m)
     p = args.p if args.p is not None else args.k // 2
-    leading = sum_eml_leading(arg, args.k)
-    correction = first_correction(arg, args.k)
-    truncated = sum_eml_truncated(arg, args.k, p)
-    ratio = correction_ratio(arg, args.k) if arg.m >= 3 else None
+    values = {
+        "sum_approx": sum_eml_leading(arg, args.k),
+        "first_correction": first_correction(arg, args.k),
+        "correction_ratio": correction_ratio(arg, args.k) if arg.m >= 3 else None,
+        "sum_truncated": sum_eml_truncated(arg, args.k, p),
+    }
     row = {"k": args.k, "m": _exact(arg.m), "p": p}
-    row.update(_triplet("sum_approx", leading, args.exact))
-    row.update(_triplet("first_correction", correction, args.exact))
-    if ratio is None:
-        for col in _triplet_columns(["correction_ratio"], args.exact):
-            row[col] = None
-    else:
-        row.update(_triplet("correction_ratio", ratio, args.exact))
-    row.update(_triplet("sum_truncated", truncated, args.exact))
-    columns = ["k", "m", "p"] + _triplet_columns(
-        ["sum_approx", "first_correction", "correction_ratio", "sum_truncated"], args.exact
-    )
+    for name, value in values.items():
+        if value is None:
+            row.update(dict.fromkeys(_triplet_columns([name], args.exact)))
+        else:
+            row.update(_triplet(name, value.numerator, value.denominator, args.exact))
+    columns = ["k", "m", "p"] + _triplet_columns(values, args.exact)
     params = {"k": args.k, "m": _exact(arg.m), "p": p}
     return "approx", params, columns, [row]
 
@@ -296,28 +290,46 @@ def _cmd_figure1(args):
         raise DomainError(f"invalid k range [{k_from}, {k_to}]")
     if m_from < 2 or m_to < m_from:
         raise DomainError(f"invalid m range [{m_from}, {m_to}]")
-    rows = []
-    for k in range(k_from, k_to + 1):
-        running = sum_direct(PowerSumQuery(m_from - 1, k))
-        for m in range(m_from, m_to + 1):
-            arg = RealArg(Fraction(m))
-            approx_sum = sum_eml_leading(arg, k)
-            power = m**k
-            diff_approx = approx_sum - power
-            row = {"k": k, "m": m}
-            row.update(_triplet("sum_exact", running, args.exact))
-            row.update(_triplet("sum_approx", approx_sum, args.exact))
-            row.update(_triplet("power", power, args.exact))
-            row.update(_triplet("diff_approx", diff_approx, args.exact))
-            row.update(
-                _triplet("diff_corrected", diff_approx + first_correction(arg, k), args.exact)
-            )
-            row.update(_triplet("diff_exact", running - power, args.exact))
-            rows.append(row)
-            running += power
     columns = ["k", "m"] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
     params = {"k_from": k_from, "k_to": k_to, "m_from": m_from, "m_to": m_to}
+    rows = _figure1_rows(range(k_from, k_to + 1), range(m_from, m_to + 1), args.exact)
     return "figure1", params, columns, rows
+
+
+def _figure1_rows(ks: range, ms: range, include_exact: bool):
+    """Lazily, one row per (k, m), every cell from integers.
+
+    With d = 2(k+1) and c = ``cleared_value(k, m)``, the leading
+    approximant minus m^k is c/d, and adding the first correction
+    (k/12)((m-1)^{k-1} - 1) gives (12c + dk((m-1)^{k-1} - 1))/(12d).
+    ``approx.sum_eml_leading`` and ``first_correction`` are the literal
+    Fraction forms; the tests rebuild every cell through them.
+    """
+    for k in ks:
+        d = 2 * (k + 1)
+        running = sum_direct(PowerSumQuery(ms.start - 1, k))
+        below = (ms.start - 1) ** k  # (m-1)^k, carried from the previous m
+        for m in ms:
+            c = cleared_value(k, m)
+            power = m**k
+            correction = d * k * (below // (m - 1) - 1)
+            row = {"k": k, "m": m}
+            row.update(_triplet("sum_exact", running, 1, include_exact))
+            row.update(_triplet("sum_approx", *_lowest(c + d * power, d), include_exact))
+            row.update(_triplet("power", power, 1, include_exact))
+            row.update(_triplet("diff_approx", *_lowest(c, d), include_exact))
+            row.update(
+                _triplet("diff_corrected", *_lowest(12 * c + correction, 12 * d), include_exact)
+            )
+            row.update(_triplet("diff_exact", running - power, 1, include_exact))
+            yield row
+            running += power
+            below = power
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _cmd_figure2(args):
@@ -329,7 +341,7 @@ def _cmd_figure2(args):
             report = sign_at(k, case.candidate(k), case)
             point = dominance_ratio(k, case)
             row = {"case": case.name, "k": k, "m0": report.m0}
-            row.update(_triplet("value", report.value, args.exact))
+            row.update(_triplet("value", report.value, 1, args.exact))
             row["sign"] = report.sign.name
             row["ratio"] = point.value
             row["limit"] = point.limit
@@ -439,5 +451,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(args, command, params, columns, rows)
+    try:
+        _emit(args, command, params, columns, rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # flush at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0

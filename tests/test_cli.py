@@ -1,12 +1,20 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import erdosmoser
+from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
 from erdosmoser.polyform import cleared_poly, eval_poly
+from erdosmoser.powersum import PowerSumQuery, sum_direct
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +26,15 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+def cli_process(*argv, **kwargs):
+    """`python -m erdosmoser ARGV` in a child with this package on its path."""
+    src = str(Path(erdosmoser.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+    return subprocess.Popen([sys.executable, "-m", "erdosmoser", *argv], env=env, **kwargs)
 
 
 class TestExitCodes:
@@ -47,6 +64,21 @@ class TestExitCodes:
     def test_bad_digits_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "sum", "--k", "3", "--m", "5", "--digits", "0")
         assert code == 2
+
+    def test_reader_gone_before_output_is_141(self):
+        # a one-row output sits in the buffer until the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process("sum", "--k", "3", "--m", "5", stdout=write_end,
+                               stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 141 and err == b""
 
 
 class TestSumCommand:
@@ -205,8 +237,71 @@ class TestFigure1:
         assert out1 == out2
 
     def test_invalid_range_is_2(self, capsys):
-        code, _, _ = run_cli(capsys, "figure1", "--k-from", "5", "--k-to", "2")
-        assert code == 2
+        code, out, _ = run_cli(capsys, "figure1", "--k-from", "5", "--k-to", "2")
+        assert code == 2 and out == ""
+
+    def test_invalid_m_range_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "figure1", "--m-from", "9", "--m-to", "4")
+        assert code == 2 and out == "" and "m range" in err
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the reader stops after two lines, as `erdosmoser figure1 | head -n 2` does
+        proc = cli_process("figure1", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert head[0].startswith(b"k,m,sum_exact,") and head[1].startswith(b"2,3,5,")
+        assert proc.returncode == 141
+        assert err == b""
+
+
+def figure1_oracle(k, m):
+    """The figure1 quantities at (k, m) through the literal Fraction path."""
+    arg = RealArg(m)
+    exact = sum_direct(PowerSumQuery(m - 1, k))
+    approx = sum_eml_leading(arg, k)
+    power = m**k
+    return {
+        "sum_exact": exact,
+        "sum_approx": approx,
+        "power": power,
+        "diff_approx": approx - power,
+        "diff_corrected": approx - power + first_correction(arg, k),
+        "diff_exact": exact - power,
+    }
+
+
+class TestFigure1Oracle:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("exact", ["--exact", "--no-exact"])
+    @pytest.mark.parametrize("digits", [6, 17])
+    def test_every_cell(self, capsys, fmt, exact, digits):
+        code, out, _ = run_cli(capsys, "figure1", "--k-from", "1", "--k-to", "12",
+                               "--m-from", "2", "--m-to", "40", "--format", fmt, exact,
+                               "--digits", str(digits))
+        assert code == 0
+        rows = parse_csv(out) if fmt == "csv" else json.loads(out)["rows"]
+        keys = [(k, m) for k in range(1, 13) for m in range(2, 41)]
+        assert len(rows) == len(keys)
+        if fmt == "csv":
+            cell = lambda x: "" if x is None else f"{x:.{digits}g}" if isinstance(x, float) else str(x)
+        else:
+            cell = lambda x: float(f"{x:.{digits}g}") if isinstance(x, float) else x
+        for row, (k, m) in zip(rows, keys):
+            expected = {"k": k, "m": m}
+            for name, value in figure1_oracle(k, m).items():
+                v = Fraction(value)
+                if exact == "--exact":
+                    expected[name] = str(value)
+                expected[f"{name}_log10"] = (
+                    math.log10(abs(v.numerator)) - math.log10(v.denominator) if v else None
+                )
+                expected[f"{name}_sign"] = (v > 0) - (v < 0)
+            expected = {c: cell(x) for c, x in expected.items()}
+            assert row == expected, (k, m)
 
 
 class TestFigure2:
