@@ -22,7 +22,6 @@ from .arith import DEFAULT_BUDGET, DivisorBudget, divisors
 from .errors import DomainError
 
 __all__ = [
-    "CASE_ORDER",
     "CandidateSet",
     "CaseKind",
     "Source",
@@ -92,10 +91,6 @@ _CANDIDATE = {
     CaseKind.ODD_PROD: lambda k: (k + 1) * (k - 2),
 }
 
-#: Declaration order of the cases; used for canonical report sorting.
-CASE_ORDER = {case: i for i, case in enumerate(CaseKind)}
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """All positive rational-root candidates for one exponent k.
@@ -134,7 +129,8 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
         zero_root = True
     divs = divisors(constant, budget)
     cands = sorted({Fraction(d) for d in divs} | {Fraction(d, 2) for d in divs})
-    ints = tuple(int(c) for c in cands if c.denominator == 1 and c >= 3)
+    # every integer d/2 is itself a divisor, so the integers are the divisors
+    ints = tuple(d for d in divs if d >= 3)
     return CandidateSet(k, source, tuple(cands), ints, zero_root)
 
 

@@ -1,5 +1,8 @@
 """Command-line surface: emits every table and figure dataset as CSV or
-JSON on stdout.
+JSON on stdout.  Each subcommand accepts only the flags it reads: all take
+--format, those with float columns --digits, those with optional exact
+columns --exact/--no-exact, those that factor --trial-budget, and search
+--jobs.  Any other flag is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -112,7 +115,7 @@ def _json_cell(value, digits: int):
 
 def _emit(args, command: str, params: dict, columns: list[str], rows: Iterable[dict]) -> None:
     """CSV writes each row as it arrives; JSON collects them into its one object."""
-    digits = args.digits
+    digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -126,13 +129,6 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: Iterable[d
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_csv_cell(row.get(c), digits) for c in columns])
-
-
-def _validate_common(args) -> None:
-    if not 1 <= args.digits <= 50:
-        raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
-    if args.trial_budget < 2:
-        raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
 
 
 def _cmd_sum(args):
@@ -355,14 +351,14 @@ def _cmd_figure2(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv)")
-    common.add_argument("--digits", type=int, default=6,
+    fmt, digits, exact, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default: csv)")
+    digits.add_argument("--digits", type=int, default=6,
                         help="decimal digits for float columns (default: 6)")
-    common.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
-                        help="emit exact value columns alongside floats")
-    common.add_argument("--trial-budget", type=int, default=1_000_000,
+    exact.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
+                       help="emit exact value columns alongside floats")
+    budget.add_argument("--trial-budget", type=int, default=1_000_000,
                         help="largest trial divisor attempted when factoring")
 
     parser = _Parser(
@@ -372,36 +368,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("sum", parents=[common],
+    p = sub.add_parser("sum", parents=[fmt],
                        help="direct power sum and its full expansion at integer m")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(handler=_cmd_sum)
 
-    p = sub.add_parser("approx", parents=[common],
+    p = sub.add_parser("approx", parents=[fmt, digits, exact],
                        help="truncated approximants at a rational point m")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=_fraction_arg, required=True, metavar="RAT")
     p.add_argument("--p", type=int, default=None, help="correction terms to include")
     p.set_defaults(handler=_cmd_approx)
 
-    p = sub.add_parser("poly", parents=[common], help="cleared polynomial coefficients")
+    p = sub.add_parser("poly", parents=[fmt], help="cleared polynomial coefficients")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--full-eml", action="store_true",
                    help="full-expansion polynomial instead of the truncated form")
     p.set_defaults(handler=_cmd_poly)
 
-    p = sub.add_parser("candidates", parents=[common],
+    p = sub.add_parser("candidates", parents=[fmt, budget],
                        help="rational-root candidates for one exponent")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_candidates)
 
-    p = sub.add_parser("signs", parents=[common],
+    p = sub.add_parser("signs", parents=[fmt, budget],
                        help="exact signs at all candidates up to a k bound")
     p.add_argument("--k-max", type=int, required=True)
     p.set_defaults(handler=_cmd_signs)
 
-    p = sub.add_parser("ratios", parents=[common],
+    p = sub.add_parser("ratios", parents=[fmt, digits, exact],
                        help="dominance-ratio series for one case")
     p.add_argument("--case", choices=[c.name for c in CaseKind], required=True)
     p.add_argument("--k-from", type=int, required=True)
@@ -409,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=2)
     p.set_defaults(handler=_cmd_ratios)
 
-    p = sub.add_parser("threshold", parents=[common],
+    p = sub.add_parser("threshold", parents=[fmt, digits],
                        help="predicted and exact sign-crossing point")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_threshold)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[fmt],
                        help="brute-force scan for exact solutions")
     p.add_argument("--k", type=_range_arg, required=True, metavar="LO..HI")
     p.add_argument("--m", type=_range_arg, required=True, metavar="LO..HI")
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "output never depends on it (default: 1)")
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("figure1", parents=[common],
+    p = sub.add_parser("figure1", parents=[fmt, digits, exact],
                        help="sum/approximant/difference grid over (k, m)")
     p.add_argument("--k-from", type=int, default=2)
     p.add_argument("--k-to", type=int, default=102)
@@ -431,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-to", type=int, default=200)
     p.set_defaults(handler=_cmd_figure1)
 
-    p = sub.add_parser("figure2", parents=[common],
+    p = sub.add_parser("figure2", parents=[fmt, digits, exact],
                        help="per-case candidate values, signs and ratios over k")
     p.add_argument("--k-to", type=int, required=True)
     p.set_defaults(handler=_cmd_figure2)
@@ -440,10 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact cells can run past 4,300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_common(args)
+        if "digits" in args and not 1 <= args.digits <= 50:
+            raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
         command, params, columns, rows = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

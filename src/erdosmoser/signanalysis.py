@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import DEFAULT_BUDGET, DivisorBudget
-from .candidates import CASE_ORDER, CaseKind, candidate_roots, highlighted_candidates
+from .candidates import CaseKind, candidate_roots, highlighted_candidates
 from .errors import DomainError, InternalConsistencyError
 from .polyform import cleared_value
 from .search import first_nonnegative
@@ -120,8 +120,6 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
     enumerated within ``budget``, k <= k_max, in (k, case, m0) order.
 
     ZERO entries are data, not errors; callers decide how loudly to react.
-    Per-k evaluations are independent (parallelizable by k); the final
-    sort restores the canonical order regardless of evaluation order.
     """
     if k_max < 3:
         raise DomainError(f"k_max must be >= 3, got {k_max}")
@@ -131,13 +129,7 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
             reports.append(sign_at(k, m0, case))
         for m0 in candidate_roots(k, budget).integer_candidates_ge3:
             reports.append(sign_at(k, m0, FULL_SET))
-    reports.sort(key=_report_key)
     return reports
-
-
-def _report_key(r: SignReport):
-    case_rank = -1 if r.case is None else CASE_ORDER[r.case]
-    return (r.k, r.case is None, case_rank, r.m0)
 
 
 def _ratio_parts(case: CaseKind, k: int) -> tuple[Fraction, Fraction]:
@@ -253,18 +245,17 @@ def sign_threshold(k: int) -> tuple[Fraction, int]:
     turns positive; the full-expansion polynomial is D > 0 times it).
 
     Scans upward from m = 3 with exact direct sums, so every m below the
-    returned crossing was observed <= 0.  For k = 1 the scan passes the
-    exact zero at m = 3 (the known solution) and reports m = 4.  No crossing
-    below the scan bound 4(k+2) raises :class:`InternalConsistencyError`.
+    returned crossing was observed <= 0.  An exact zero at m (for k = 1, the
+    known solution m = 3) reports m + 1, where the difference is positive by
+    the single-crossing lemma of :func:`~erdosmoser.search.find_solutions`.
+    No crossing below the scan bound 4(k+2) raises
+    :class:`InternalConsistencyError`.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    predicted = Fraction(3 * (k + 1), 2)
     bound = 4 * (k + 2)
-    m_lo = 3
-    while (found := first_nonnegative(k, m_lo, bound)) is not None:
-        m, diff = found
-        if diff > 0:
-            return predicted, m
-        m_lo = m + 1
-    raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
+    found = first_nonnegative(k, 3, bound)
+    if found is None:
+        raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
+    m, diff = found
+    return Fraction(3 * (k + 1), 2), m if diff > 0 else m + 1

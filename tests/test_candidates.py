@@ -81,6 +81,13 @@ class TestCandidateRoots:
             int(c) for c in cs.all_candidates if c.denominator == 1 and c >= 3
         }
 
+    def test_integer_candidates_in_order(self):
+        # oracle: the integers >= 3 among all candidates, in increasing order
+        for k in range(2, 301):
+            cs = candidate_roots(k)
+            expected = tuple(int(c) for c in cs.all_candidates if c.denominator == 1 and c >= 3)
+            assert cs.integer_candidates_ge3 == expected, k
+
     def test_no_candidate_at_or_above_three_is_a_root(self):
         # evaluating over the complete candidate set: nothing with value
         # >= 3 (the equation's constraint on m) vanishes

@@ -13,8 +13,22 @@ import pytest
 import erdosmoser
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
-from erdosmoser.polyform import cleared_poly, eval_poly
+from erdosmoser.polyform import cleared_poly, cleared_value, eval_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift this process's int->str digit limit for the test, where it has one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(capsys, *argv):
@@ -62,8 +76,9 @@ class TestExitCodes:
         assert code == 3 and "77" in err
 
     def test_bad_digits_is_2(self, capsys):
-        code, _, _ = run_cli(capsys, "sum", "--k", "3", "--m", "5", "--digits", "0")
-        assert code == 2
+        for digits in ("0", "51"):
+            code, _, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", digits)
+            assert code == 2
 
     def test_reader_gone_before_output_is_141(self):
         # a one-row output sits in the buffer until the final flush
@@ -79,6 +94,44 @@ class TestExitCodes:
         finally:
             proc.kill()
         assert proc.returncode == 141 and err == b""
+
+
+# A small valid argv per subcommand, and the subcommands whose handler reads
+# each flag.  Written out by hand, not read from build_parser, so the test
+# checks the parser against the handlers rather than against itself.
+BASE_ARGV = {
+    "sum": ["--k", "3", "--m", "5"],
+    "approx": ["--k", "4", "--m", "7/2"],
+    "poly": ["--k", "4"],
+    "candidates": ["--k", "10"],
+    "signs": ["--k-max", "10"],
+    "ratios": ["--case", "EVEN_2KM1", "--k-from", "4", "--k-to", "8"],
+    "threshold": ["--k", "4"],
+    "search": ["--k", "1..3", "--m", "3..9"],
+    "figure1": ["--k-to", "3", "--m-to", "5"],
+    "figure2": ["--k-to", "6"],
+}
+FLAG_READERS = {
+    ("--format", "json"): set(BASE_ARGV),
+    ("--digits", "3"): {"approx", "ratios", "threshold", "figure1", "figure2"},
+    ("--exact",): {"approx", "ratios", "figure1", "figure2"},
+    ("--no-exact",): {"approx", "ratios", "figure1", "figure2"},
+    ("--trial-budget", "1000"): {"candidates", "signs"},
+}
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("flag", list(FLAG_READERS), ids=" ".join)
+    @pytest.mark.parametrize("command", list(BASE_ARGV))
+    def test_flag_accepted_only_where_read(self, capsys, command, flag):
+        argv = [command, *BASE_ARGV[command], *flag]
+        if command in FLAG_READERS[flag]:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert capsys.readouterr().out == ""
 
 
 class TestSumCommand:
@@ -321,6 +374,19 @@ class TestFigure2:
         code, _, _ = run_cli(capsys, "figure2", "--k-to", "3")
         assert code == 2
 
+    def test_exact_cells_past_int_str_limit(self, unlimited_int_str):
+        # the child starts with the interpreter's default int->str digit limit
+        proc = cli_process("figure2", "--k-to", "800", stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE)
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0 and err == b""
+        longest = max(parse_csv(out.decode()), key=lambda r: len(r["value"]))
+        assert len(longest["value"]) > 4300
+        assert longest["value"] == str(cleared_value(int(longest["k"]), int(longest["m0"])))
+
 
 class TestOutputContract:
     def test_csv_always_has_header(self, capsys):
@@ -342,6 +408,10 @@ class TestSignsBudget:
         # candidates for some k <= 10 need trial divisors above 2
         code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "2")
         assert code == 3 and "trial budget 2" in err and out == ""
+
+    def test_budget_below_two_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "1")
+        assert code == 2 and "got 1" in err and out == ""
 
     def test_default_budget_matches_explicit(self, capsys):
         _, default, _ = run_cli(capsys, "signs", "--k-max", "30")
