@@ -9,7 +9,7 @@ solution search.  The :mod:`erdosmoser.cli` module serializes all of it as
 CSV/JSON datasets.
 """
 
-from .arith import DEFAULT_BUDGET, DivisorBudget, bernoulli, binomial, divisors, falling_factorial, lcm_all
+from .arith import DEFAULT_BUDGET, DivisorBudget, bernoulli, binomial, divisors, falling_factorial
 from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
 from .candidates import CandidateSet, CaseKind, Source, candidate_roots, highlighted_candidates
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
@@ -25,7 +25,7 @@ from .polyform import (
     quotient_poly,
 )
 from .powersum import PowerSumQuery, eml_terms, sum_direct, sum_eml_exact
-from .search import SearchHit, check_pair, find_solutions
+from .search import SearchHit, find_solutions
 from .signanalysis import (
     FULL_SET,
     RatioPoint,
@@ -66,7 +66,6 @@ __all__ = [
     "bernoulli",
     "binomial",
     "candidate_roots",
-    "check_pair",
     "cleared_poly",
     "cleared_value",
     "constant_and_linear_terms",
@@ -83,7 +82,6 @@ __all__ = [
     "first_correction",
     "full_eml_poly",
     "highlighted_candidates",
-    "lcm_all",
     "quotient_poly",
     "sign_at",
     "sign_summary",

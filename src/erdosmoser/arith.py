@@ -22,7 +22,6 @@ __all__ = [
     "binomial",
     "divisors",
     "falling_factorial",
-    "lcm_all",
 ]
 
 
@@ -138,12 +137,3 @@ def divisors(n: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[int]:
     for p, e in factors:
         divs = [q * p**i for q in divs for i in range(e + 1)]
     return sorted(divs)
-
-
-def lcm_all(values: list[int]) -> int:
-    """Exact least common multiple of a non-empty list of positive ints."""
-    if not values:
-        raise DomainError("lcm of an empty list is undefined")
-    if any(v < 1 for v in values):
-        raise DomainError("lcm arguments must be >= 1")
-    return math.lcm(*values)

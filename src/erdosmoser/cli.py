@@ -4,6 +4,13 @@ JSON on stdout.  Each subcommand accepts only the flags it reads: all take
 columns --exact/--no-exact, those that factor --trial-budget, and search
 --jobs.  Any other flag is a usage error.
 
+Each table declares its columns once, as (name, kind) pairs, and yields
+rows as tuples in that order.  A cell is an int, text (an exact integer
+or num/den string, or an enum name), a float (printed to --digits
+significant digits) or a bool (true/false); None is an absent cell, empty
+in CSV and null in JSON.  CSV is written unquoted; the comment on the
+cell kinds says why that is safe.
+
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
 the output ended, as in ``erdosmoser figure1 | head``.  Output is
@@ -14,13 +21,12 @@ are emitted as data, never rendered.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import __version__
 from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
@@ -33,6 +39,12 @@ from .search import find_solutions
 from .signanalysis import Sign, dominance_ratio, dominance_series, sign_at, sign_summary, sign_threshold
 
 SCHEMA_VERSION = "1"
+
+# Cell kinds.  Their spellings never contain a comma, a quote or a line
+# break: ints and exact text are digits, '-' and '/', enum names are
+# [A-Z0-9_], floats are digits, '.', 'e', '+', '-', inf or nan, and bools
+# are true/false.  So a CSV line is a plain ",".join of its cells.
+INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
 
 _FIG1_QUANTITIES = (
     "sum_exact",
@@ -70,65 +82,61 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 7/2 or 3.5, got {text!r}") from None
 
 
-def _exact(value: Union[int, Fraction]) -> str:
-    """Canonical exact string: integer digits, or num/den in lowest terms."""
-    return str(value)
-
-
-def _triplet(name: str, num: int, den: int, include_exact: bool) -> dict:
+def _triplet(num: int, den: int, include_exact: bool) -> tuple:
     """Exact, ``_log10`` and ``_sign`` cells of num/den, given in lowest
     terms with den > 0; ints and Fractions pass their ``.numerator`` and
     ``.denominator``.  The exact cell is what ``str(Fraction(num, den))``
     gives."""
-    cells = {}
+    log10 = math.log10(abs(num)) - math.log10(den) if num else None
+    sign = (num > 0) - (num < 0)
     if include_exact:
-        cells[name] = str(num) if den == 1 else f"{num}/{den}"
-    cells[f"{name}_log10"] = math.log10(abs(num)) - math.log10(den) if num else None
-    cells[f"{name}_sign"] = (num > 0) - (num < 0)
-    return cells
+        return (str(num) if den == 1 else f"{num}/{den}", log10, sign)
+    return (log10, sign)
 
 
-def _triplet_columns(names, include_exact: bool) -> list[str]:
+def _triplet_columns(names, include_exact: bool) -> list[tuple[str, str]]:
     cols = []
     for name in names:
         if include_exact:
-            cols.append(name)
-        cols.extend((f"{name}_log10", f"{name}_sign"))
+            cols.append((name, TEXT))
+        cols += [(f"{name}_log10", FLOAT), (f"{name}_sign", INT)]
     return cols
 
 
-def _csv_cell(value, digits: int):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.{digits}g}"
-    return value
+def _spellings(digits: Optional[int]) -> dict:
+    """(CSV, JSON) spelling of a present cell, per kind."""
+    return {
+        INT: (str, int),
+        TEXT: (str, str),
+        FLOAT: (lambda v: f"{v:.{digits}g}", lambda v: float(f"{v:.{digits}g}")),
+        BOOL: (lambda v: "true" if v else "false", bool),
+    }
 
 
-def _json_cell(value, digits: int):
-    if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
-    return value
-
-
-def _emit(args, command: str, params: dict, columns: list[str], rows: Iterable[dict]) -> None:
+def _emit(args, command: str, params: dict, columns: list, rows: Iterable) -> None:
     """CSV writes each row as it arrives; JSON collects them into its one object."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
-    if args.format == "json":
+    names = [name for name, _ in columns]
+    json_out = args.format == "json"
+    spellings = _spellings(digits)
+    spell = [spellings[kind][json_out] for _, kind in columns]
+    if json_out:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "params": params,
-            "rows": [{c: _json_cell(row.get(c), digits) for c in columns} for row in rows],
+            "rows": [
+                {n: None if v is None else f(v) for n, f, v in zip(names, spell, row, strict=True)}
+                for row in rows
+            ],
         }
         sys.stdout.write(json.dumps(doc) + "\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
+        write = sys.stdout.write
+        write(",".join(names) + "\n")
         for row in rows:
-            writer.writerow([_csv_cell(row.get(c), digits) for c in columns])
+            cells = ["" if v is None else f(v) for f, v in zip(spell, row, strict=True)]
+            write(",".join(cells) + "\n")
 
 
 def _cmd_sum(args):
@@ -137,14 +145,9 @@ def _cmd_sum(args):
     query = PowerSumQuery(args.m - 1, args.k)
     direct = sum_direct(query)
     expansion = sum_eml_exact(query)
-    row = {
-        "k": args.k,
-        "m": args.m,
-        "sum_direct": _exact(direct),
-        "sum_eml": _exact(expansion),
-        "diff": _exact(direct - expansion),
-    }
-    return "sum", {"k": args.k, "m": args.m}, list(row), [row]
+    columns = [("k", INT), ("m", INT), ("sum_direct", TEXT), ("sum_eml", TEXT), ("diff", TEXT)]
+    row = (args.k, args.m, str(direct), str(expansion), str(direct - expansion))
+    return "sum", {"k": args.k, "m": args.m}, columns, [row]
 
 
 def _cmd_approx(args):
@@ -156,39 +159,35 @@ def _cmd_approx(args):
         "correction_ratio": correction_ratio(arg, args.k) if arg.m >= 3 else None,
         "sum_truncated": sum_eml_truncated(arg, args.k, p),
     }
-    row = {"k": args.k, "m": _exact(arg.m), "p": p}
-    for name, value in values.items():
+    row = (args.k, str(arg.m), p)
+    for value in values.values():
         if value is None:
-            row.update(dict.fromkeys(_triplet_columns([name], args.exact)))
+            row += (None,) * (3 if args.exact else 2)
         else:
-            row.update(_triplet(name, value.numerator, value.denominator, args.exact))
-    columns = ["k", "m", "p"] + _triplet_columns(values, args.exact)
-    params = {"k": args.k, "m": _exact(arg.m), "p": p}
+            row += _triplet(value.numerator, value.denominator, args.exact)
+    columns = [("k", INT), ("m", TEXT), ("p", INT)] + _triplet_columns(values, args.exact)
+    params = {"k": args.k, "m": str(arg.m), "p": p}
     return "approx", params, columns, [row]
 
 
 def _cmd_poly(args):
     cp = full_eml_poly(args.k) if args.full_eml else cleared_poly(args.k)
-    rows = [{"power": i, "coefficient": _exact(c)} for i, c in enumerate(cp.poly.coeffs)]
+    rows = [(i, str(c)) for i, c in enumerate(cp.poly.coeffs)]
     params = {
         "k": args.k,
         "full_eml": args.full_eml,
         "degree": cp.poly.degree,
-        "multiplier": _exact(cp.multiplier),
-        "leading": _exact(cp.poly.coeffs[-1]),
+        "multiplier": str(cp.multiplier),
+        "leading": str(cp.poly.coeffs[-1]),
     }
-    return "poly", params, ["power", "coefficient"], rows
+    return "poly", params, [("power", INT), ("coefficient", TEXT)], rows
 
 
 def _cmd_candidates(args):
     cs = candidate_roots(args.k, DivisorBudget(args.trial_budget))
     integers = set(cs.integer_candidates_ge3)
     rows = [
-        {
-            "candidate": _exact(c),
-            "is_integer": c.denominator == 1,
-            "integer_ge3": c.denominator == 1 and int(c) in integers,
-        }
+        (str(c), c.denominator == 1, c.denominator == 1 and int(c) in integers)
         for c in cs.all_candidates
     ]
     params = {
@@ -197,7 +196,8 @@ def _cmd_candidates(args):
         "factored_root_zero": cs.factored_root_zero,
         "count": len(cs.all_candidates),
     }
-    return "candidates", params, ["candidate", "is_integer", "integer_ge3"], rows
+    columns = [("candidate", TEXT), ("is_integer", BOOL), ("integer_ge3", BOOL)]
+    return "candidates", params, columns, rows
 
 
 def _cmd_signs(args):
@@ -207,43 +207,31 @@ def _cmd_signs(args):
     for r in reports:
         if r.sign is Sign.ZERO:
             zeros += 1
-        rows.append(
-            {
-                "k": r.k,
-                "case": "FULL_SET" if r.case is None else r.case.name,
-                "m0": r.m0,
-                "value": _exact(r.value),
-                "sign": r.sign.name,
-            }
-        )
+        case = "FULL_SET" if r.case is None else r.case.name
+        rows.append((r.k, case, r.m0, str(r.value), r.sign.name))
     if zeros:
         print(
             f"warning: {zeros} candidate(s) evaluate to exactly zero, "
             "i.e. the cleared polynomial has a rational root",
             file=sys.stderr,
         )
-    return "signs", {"k_max": args.k_max}, ["k", "case", "m0", "value", "sign"], rows
+    columns = [("k", INT), ("case", TEXT), ("m0", INT), ("value", TEXT), ("sign", TEXT)]
+    return "signs", {"k_max": args.k_max}, columns, rows
 
 
 def _cmd_ratios(args):
     case = CaseKind[args.case]
     series = dominance_series(case, args.k_from, args.k_to, args.step)
-    columns = ["case", "k", "ratio"]
+    columns = [("case", TEXT), ("k", INT), ("ratio", FLOAT)]
     if args.exact:
-        columns.append("exact")
-    columns += ["limit", "series_decreasing"]
+        columns.append(("exact", TEXT))
+    columns += [("limit", FLOAT), ("series_decreasing", BOOL)]
     rows = []
     for point in series.points:
-        row = {
-            "case": case.name,
-            "k": point.k,
-            "ratio": point.value,
-            "limit": point.limit,
-            "series_decreasing": series.decreasing_from_start,
-        }
+        row = (case.name, point.k, point.value)
         if args.exact:
-            row["exact"] = None if point.exact is None else _exact(point.exact)
-        rows.append(row)
+            row += (None if point.exact is None else str(point.exact),)
+        rows.append(row + (point.limit, series.decreasing_from_start))
     params = {
         "case": case.name,
         "k_from": args.k_from,
@@ -256,27 +244,23 @@ def _cmd_ratios(args):
 
 def _cmd_threshold(args):
     predicted, crossing = sign_threshold(args.k)
-    row = {
-        "k": args.k,
-        "predicted": _exact(predicted),
-        "predicted_float": float(predicted),
-        "crossing": crossing,
-    }
-    return "threshold", {"k": args.k}, list(row), [row]
+    columns = [("k", INT), ("predicted", TEXT), ("predicted_float", FLOAT), ("crossing", INT)]
+    row = (args.k, str(predicted), float(predicted), crossing)
+    return "threshold", {"k": args.k}, columns, [row]
 
 
 def _cmd_search(args):
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     hits = find_solutions(args.k, args.m, shards=args.jobs)
-    rows = [{"k": hit.k, "m": hit.m} for hit in hits]
+    rows = [(hit.k, hit.m) for hit in hits]
     params = {
         "k_from": args.k[0],
         "k_to": args.k[1],
         "m_from": args.m[0],
         "m_to": args.m[1],
     }
-    return "search", params, ["k", "m"], rows
+    return "search", params, [("k", INT), ("m", INT)], rows
 
 
 def _cmd_figure1(args):
@@ -286,7 +270,7 @@ def _cmd_figure1(args):
         raise DomainError(f"invalid k range [{k_from}, {k_to}]")
     if m_from < 2 or m_to < m_from:
         raise DomainError(f"invalid m range [{m_from}, {m_to}]")
-    columns = ["k", "m"] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
+    columns = [("k", INT), ("m", INT)] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
     params = {"k_from": k_from, "k_to": k_to, "m_from": m_from, "m_to": m_to}
     rows = _figure1_rows(range(k_from, k_to + 1), range(m_from, m_to + 1), args.exact)
     return "figure1", params, columns, rows
@@ -309,16 +293,18 @@ def _figure1_rows(ks: range, ms: range, include_exact: bool):
             c = cleared_value(k, m)
             power = m**k
             correction = d * k * (below // (m - 1) - 1)
-            row = {"k": k, "m": m}
-            row.update(_triplet("sum_exact", running, 1, include_exact))
-            row.update(_triplet("sum_approx", *_lowest(c + d * power, d), include_exact))
-            row.update(_triplet("power", power, 1, include_exact))
-            row.update(_triplet("diff_approx", *_lowest(c, d), include_exact))
-            row.update(
-                _triplet("diff_corrected", *_lowest(12 * c + correction, 12 * d), include_exact)
-            )
-            row.update(_triplet("diff_exact", running - power, 1, include_exact))
-            yield row
+            # A list, not a tuple: CPython 3.11 keeps up to 2,000 freed
+            # 20-item tuples on a free list it never reuses (~0.4 MB).
+            yield [
+                k,
+                m,
+                *_triplet(running, 1, include_exact),
+                *_triplet(*_lowest(c + d * power, d), include_exact),
+                *_triplet(power, 1, include_exact),
+                *_triplet(*_lowest(c, d), include_exact),
+                *_triplet(*_lowest(12 * c + correction, 12 * d), include_exact),
+                *_triplet(running - power, 1, include_exact),
+            ]
             running += power
             below = power
 
@@ -336,19 +322,14 @@ def _cmd_figure2(args):
         for k in range(case.min_k, args.k_to + 1, 2):
             report = sign_at(k, case.candidate(k), case)
             point = dominance_ratio(k, case)
-            row = {"case": case.name, "k": k, "m0": report.m0}
-            row.update(_triplet("value", report.value, 1, args.exact))
-            row["sign"] = report.sign.name
-            row["ratio"] = point.value
-            row["limit"] = point.limit
-            rows.append(row)
+            row = (case.name, k, report.m0, *_triplet(report.value, 1, args.exact))
+            rows.append(row + (report.sign.name, point.value, point.limit))
     columns = (
-        ["case", "k", "m0"]
+        [("case", TEXT), ("k", INT), ("m0", INT)]
         + _triplet_columns(["value"], args.exact)
-        + ["sign", "ratio", "limit"]
+        + [("sign", TEXT), ("ratio", FLOAT), ("limit", FLOAT)]
     )
     return "figure2", {"k_to": args.k_to}, columns, rows
-
 
 def build_parser() -> argparse.ArgumentParser:
     fmt, digits, exact, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))
@@ -443,6 +424,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if "digits" in args and not 1 <= args.digits <= 50:
             raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
+        if "trial_budget" in args and args.trial_budget < 2:
+            raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
         command, params, columns, rows = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

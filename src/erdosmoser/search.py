@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .powersum import PowerSumQuery, sum_direct
 
-__all__ = ["SearchHit", "check_pair", "find_solutions", "first_nonnegative"]
+__all__ = ["SearchHit", "find_solutions", "first_nonnegative"]
 
 
 @dataclass(frozen=True, order=True)
@@ -19,15 +19,6 @@ class SearchHit:
 
     k: int
     m: int
-
-
-def check_pair(k: int, m: int) -> bool:
-    """Exact test of a single (k, m) pair."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if m < 3:
-        raise DomainError(f"m must be >= 3, got {m}")
-    return sum_direct(PowerSumQuery(m - 1, k)) == m**k
 
 
 def first_nonnegative(k: int, m_lo: int, m_hi: int) -> tuple[int, int] | None:

@@ -14,7 +14,6 @@ from erdosmoser.arith import (
     binomial,
     divisors,
     falling_factorial,
-    lcm_all,
 )
 from erdosmoser.errors import BudgetExceededError, DomainError
 
@@ -137,25 +136,6 @@ class TestDivisors:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             DivisorBudget(max_trial=1)
-
-
-class TestLcmAll:
-    def test_examples(self):
-        assert lcm_all([3, 2, 2]) == 6
-        # prime factorization by hand: lcm(5, 2, 2, 24) = 2^3 * 3 * 5
-        assert lcm_all([5, 2, 2, 24]) == 120
-
-    @pytest.mark.parametrize("n", [1, 7, 360])
-    def test_single_element(self, n):
-        assert lcm_all([n]) == n
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            lcm_all([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            lcm_all([3, 0])
 
 
 class TestBernoulliConcurrency:

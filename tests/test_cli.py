@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -403,15 +404,47 @@ class TestOutputContract:
         assert "7.5" in wide and "7.5" in narrow
 
 
+def readme_examples():
+    """Argument lists of the ``erdosmoser`` lines in the sh block under ## CLI."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "erdosmoser"]
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=[" ".join(a) for a in README_EXAMPLES])
+class TestReadmeExamples:
+    def test_runs_as_csv_and_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+
+    def test_csv_needs_no_quoting(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        fields = [line.split(",") for line in out.splitlines()]
+        assert list(csv.reader(io.StringIO(out))) == fields
+        assert all(len(row) == len(fields[0]) for row in fields)
+
+
 class TestSignsBudget:
     def test_trial_budget_exceeded_is_3(self, capsys):
         # candidates for some k <= 10 need trial divisors above 2
         code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "2")
         assert code == 3 and "trial budget 2" in err and out == ""
 
-    def test_budget_below_two_is_2(self, capsys):
-        code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "1")
-        assert code == 2 and "got 1" in err and out == ""
+    @pytest.mark.parametrize(
+        "argv",
+        [("signs", "--k-max", "10"), ("candidates", "--k", "10")],
+        ids=["signs", "candidates"],
+    )
+    def test_budget_below_two_is_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--trial-budget", "1")
+        assert code == 2 and out == ""
+        assert err == "error: --trial-budget must be >= 2, got 1\n"
 
     def test_default_budget_matches_explicit(self, capsys):
         _, default, _ = run_cli(capsys, "signs", "--k-max", "30")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from erdosmoser.approx import RealArg, sum_eml_leading
-from erdosmoser.arith import lcm_all
 from erdosmoser.candidates import candidate_roots, highlighted_candidates
 from erdosmoser.errors import DomainError
 from erdosmoser.polyform import (
@@ -145,7 +144,7 @@ class TestFullEmlPoly:
         # lcm(k+1, (2*floor(k/2))!) == lcm(k+1, 2, (2r)! for r = 1..floor(k/2))
         for k in range(1, 201):
             factorials = [math.factorial(2 * r) for r in range(1, k // 2 + 1)]
-            assert eml_multiplier(k) == lcm_all([k + 1, 2] + factorials), k
+            assert eml_multiplier(k) == math.lcm(k + 1, 2, *factorials), k
 
     def test_degree_and_leading_law(self):
         for k in range(1, 31):

@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 from erdosmoser.errors import DomainError
 from erdosmoser.powersum import PowerSumQuery, sum_direct
-from erdosmoser.search import SearchHit, check_pair, find_solutions
+from erdosmoser.search import SearchHit, find_solutions
+
+
+def check_pair(k, m):
+    """A one-point search: an exact test of the single pair (k, m)."""
+    return find_solutions((k, k), (m, m)) == [SearchHit(k, m)]
 
 
 class TestCheckPair:
