@@ -9,7 +9,7 @@ truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -25,17 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealArg:
-    """Rational evaluation point m >= 2, so the sum endpoint m - 1 is >= 1
-    and all powers below are of a positive base."""
+class RealArg(namedtuple("RealArg", "m")):
+    """Rational evaluation point m >= 2, kept as a Fraction, so the sum
+    endpoint m - 1 is >= 1 and all powers below are of a positive base."""
 
-    m: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", Fraction(self.m))
-        if self.m < 2:
-            raise DomainError(f"evaluation point must be >= 2, got {self.m}")
+    def __new__(cls, m) -> RealArg:
+        m = Fraction(m)
+        if m < 2:
+            raise DomainError(f"evaluation point must be >= 2, got {m}")
+        return super().__new__(cls, m)
 
 
 def sum_eml_leading(arg: RealArg, k: int) -> Fraction:

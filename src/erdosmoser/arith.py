@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisorBudget:
+class DivisorBudget(namedtuple("DivisorBudget", "max_trial")):
     """Cap on the largest trial divisor attempted during factorization.
 
     Makes the cost of factoring explicit: a number whose unfactored part
@@ -34,11 +33,12 @@ class DivisorBudget:
     :class:`BudgetExceededError` instead of running unbounded.
     """
 
-    max_trial: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_trial < 2:
-            raise DomainError(f"max_trial must be >= 2, got {self.max_trial}")
+    def __new__(cls, max_trial: int) -> DivisorBudget:
+        if max_trial < 2:
+            raise DomainError(f"max_trial must be >= 2, got {max_trial}")
+        return super().__new__(cls, max_trial)
 
 
 DEFAULT_BUDGET = DivisorBudget(max_trial=1_000_000)

@@ -14,9 +14,9 @@ by case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, DivisorBudget, divisors
 from .errors import DomainError
@@ -91,8 +91,7 @@ _CANDIDATE = {
     CaseKind.ODD_PROD: lambda k: (k + 1) * (k - 2),
 }
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     """All positive rational-root candidates for one exponent k.
 
     ``integer_candidates_ge3`` is the subset of integers >= 3 (the

@@ -8,8 +8,9 @@ Each table declares its columns once, as (name, kind) pairs, and yields
 rows as tuples in that order.  A cell is an int, text (an exact integer
 or num/den string, or an enum name), a float (printed to --digits
 significant digits) or a bool (true/false); None is an absent cell, empty
-in CSV and null in JSON.  CSV is written unquoted; the comment on the
-cell kinds says why that is safe.
+in CSV and null in JSON.  CSV is written unquoted, as the comment on the
+cell kinds explains, in blocks of about 64 KB as rows are computed (the
+default figure1's first block holds 556 rows); JSON is written at once.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -21,7 +22,6 @@ are emitted as data, never rendered.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -45,6 +45,8 @@ SCHEMA_VERSION = "1"
 # [A-Z0-9_], floats are digits, '.', 'e', '+', '-', inf or nan, and bools
 # are true/false.  So a CSV line is a plain ",".join of its cells.
 INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
+
+_CSV_BLOCK = 64 * 1024  # CSV characters per write; unbuffered, each write is a syscall
 
 _FIG1_QUANTITIES = (
     "sum_exact",
@@ -105,22 +107,25 @@ def _triplet_columns(names, include_exact: bool) -> list[tuple[str, str]]:
 
 def _spellings(digits: Optional[int]) -> dict:
     """(CSV, JSON) spelling of a present cell, per kind."""
+    float_text = f"%.{digits}g".__mod__
     return {
         INT: (str, int),
         TEXT: (str, str),
-        FLOAT: (lambda v: f"{v:.{digits}g}", lambda v: float(f"{v:.{digits}g}")),
+        FLOAT: (float_text, lambda v: float(float_text(v))),
         BOOL: (lambda v: "true" if v else "false", bool),
     }
 
 
 def _emit(args, command: str, params: dict, columns: list, rows: Iterable) -> None:
-    """CSV writes each row as it arrives; JSON collects them into its one object."""
+    """CSV writes rows in blocks as they arrive; JSON collects them into its one object."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
     spellings = _spellings(digits)
     spell = [spellings[kind][json_out] for _, kind in columns]
+    write = sys.stdout.write
     if json_out:
+        import json  # CSV runs never pay for this import
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -130,13 +135,17 @@ def _emit(args, command: str, params: dict, columns: list, rows: Iterable) -> No
                 for row in rows
             ],
         }
-        sys.stdout.write(json.dumps(doc) + "\n")
-    else:
-        write = sys.stdout.write
-        write(",".join(names) + "\n")
-        for row in rows:
-            cells = ["" if v is None else f(v) for f, v in zip(spell, row, strict=True)]
-            write(",".join(cells) + "\n")
+        write(json.dumps(doc) + "\n")
+        return
+    lines, size = [",".join(names)], 0
+    for row in rows:
+        if size >= _CSV_BLOCK:  # flushed before a row is added, so the last write is never empty
+            write("\n".join(lines) + "\n")
+            lines, size = [], 0
+        line = ",".join(["" if v is None else f(v) for f, v in zip(spell, row, strict=True)])
+        lines.append(line)
+        size += len(line) + 1
+    write("\n".join(lines) + "\n")
 
 
 def _cmd_sum(args):

@@ -21,9 +21,9 @@ Two cleared forms are built here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arith import binomial
 from .errors import DomainError, InternalConsistencyError
@@ -44,8 +44,7 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Dense integer-coefficient polynomial, ascending powers.
 
     The highest stored coefficient is non-zero; the zero polynomial is the
@@ -53,13 +52,13 @@ class IntPoly:
     freely shareable).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    def __new__(cls, coeffs) -> IntPoly:
+        c = tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, c)
 
     @property
     def degree(self) -> int:
@@ -78,8 +77,7 @@ def eval_poly(p: IntPoly, m: Scalar) -> Scalar:
     return p(m)
 
 
-@dataclass(frozen=True)
-class ClearedPoly:
+class ClearedPoly(NamedTuple):
     """An integer polynomial plus the multiplier that cleared its
     denominators: 2(k+1) for the truncated form, D for the full expansion."""
 

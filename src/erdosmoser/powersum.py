@@ -11,8 +11,8 @@ agree exactly, integer for integer.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import bernoulli, falling_factorial
@@ -21,18 +21,17 @@ from .errors import DomainError, InternalConsistencyError
 __all__ = ["PowerSumQuery", "eml_terms", "sum_direct", "sum_eml_exact"]
 
 
-@dataclass(frozen=True)
-class PowerSumQuery:
+class PowerSumQuery(namedtuple("PowerSumQuery", "n k")):
     """Parameters of the sum 1^k + 2^k + ... + n^k."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"upper limit must be >= 0, got {self.n}")
-        if self.k < 1:
-            raise DomainError(f"exponent must be >= 1, got {self.k}")
+    def __new__(cls, n: int, k: int) -> PowerSumQuery:
+        if n < 0:
+            raise DomainError(f"upper limit must be >= 0, got {n}")
+        if k < 1:
+            raise DomainError(f"exponent must be >= 1, got {k}")
+        return super().__new__(cls, n, k)
 
 
 def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:

@@ -5,7 +5,7 @@ integers; the work per k is linear in its crossing point, not in m_hi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .powersum import PowerSumQuery, sum_direct
@@ -13,9 +13,8 @@ from .powersum import PowerSumQuery, sum_direct
 __all__ = ["SearchHit", "find_solutions", "first_nonnegative"]
 
 
-@dataclass(frozen=True, order=True)
-class SearchHit:
-    """A pair (k, m) with 1^k + 2^k + ... + (m-1)^k = m^k exactly."""
+class SearchHit(NamedTuple):
+    """A pair (k, m) with 1^k + 2^k + ... + (m-1)^k = m^k exactly; sorts by (k, m)."""
 
     k: int
     m: int

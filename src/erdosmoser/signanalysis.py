@@ -13,10 +13,9 @@ limits matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, candidate_roots, highlighted_candidates
@@ -63,8 +62,7 @@ class Sign(Enum):
         return cls.ZERO
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     """Exact value and sign of the cleared polynomial at one candidate.
 
     A ZERO sign would exhibit a rational root of the cleared polynomial --
@@ -79,8 +77,7 @@ class SignReport:
     sign: Sign
 
 
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(NamedTuple):
     """Dominance ratio at one (case, k), exact when cheap enough."""
 
     k: int
@@ -90,8 +87,7 @@ class RatioPoint:
     limit: float
 
 
-@dataclass(frozen=True)
-class RatioSeries:
+class RatioSeries(NamedTuple):
     """Sampled ratio values plus a monotonicity verdict.
 
     ``decreasing_from_start`` covers only the sampled points with

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdosmoser.candidates import (
-    CandidateSet,
     CaseKind,
     Source,
     candidate_roots,
@@ -135,10 +134,3 @@ class TestHighlighted:
             full = set(candidate_roots(k).integer_candidates_ge3)
             for _case, m0 in highlighted_candidates(k):
                 assert m0 in full, (k, m0)
-
-
-def test_candidate_set_is_frozen():
-    cs = candidate_roots(4)
-    assert isinstance(cs, CandidateSet)
-    with pytest.raises(AttributeError):
-        cs.k = 5

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,13 +44,34 @@ def parse_csv(text):
     return rows
 
 
-def cli_process(*argv, **kwargs):
-    """`python -m erdosmoser ARGV` in a child with this package on its path."""
+def child_env(unbuffered=False):
+    """This environment with the package on PYTHONPATH.  Stdout to a pipe
+    is block-buffered unless ``unbuffered`` sets PYTHONUNBUFFERED=1."""
     src = str(Path(erdosmoser.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
-    return subprocess.Popen([sys.executable, "-m", "erdosmoser", *argv], env=env, **kwargs)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def cli_process(*argv, unbuffered=False, **kwargs):
+    """`python -m erdosmoser ARGV` in a child with this package on its path."""
+    return subprocess.Popen([sys.executable, "-m", "erdosmoser", *argv],
+                            env=child_env(unbuffered), **kwargs)
+
+
+def test_import_leaves_heavy_modules_out():
+    # dataclasses drags in inspect, ast, dis and tokenize; json is needed
+    # only for --format json.  Every CLI run would pay for them at start-up.
+    code = ("import sys; before = set(sys.modules); import erdosmoser.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    new = set(out.split())
+    assert "erdosmoser.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
 
 class TestExitCodes:
@@ -298,9 +320,11 @@ class TestFigure1:
         code, out, err = run_cli(capsys, "figure1", "--m-from", "9", "--m-to", "4")
         assert code == 2 and out == "" and "m range" in err
 
-    def test_closed_pipe_exits_141_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_141_quietly(self, unbuffered):
         # the reader stops after two lines, as `erdosmoser figure1 | head -n 2` does
-        proc = cli_process("figure1", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = cli_process("figure1", unbuffered=unbuffered,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         head = [proc.stdout.readline(), proc.stdout.readline()]
         proc.stdout.close()
         try:
@@ -310,6 +334,21 @@ class TestFigure1:
         assert head[0].startswith(b"k,m,sum_exact,") and head[1].startswith(b"2,3,5,")
         assert proc.returncode == 141
         assert err == b""
+
+    @pytest.mark.parametrize("argv", [["figure1"], ["figure1", "--k-to", "12", "--format", "json"]],
+                             ids=["csv", "json"])
+    def test_unbuffered_stdout_is_byte_identical(self, argv):
+        outs = []
+        for unbuffered in (False, True):
+            proc = cli_process(*argv, unbuffered=unbuffered,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            try:
+                out, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+            assert proc.returncode == 0 and err == b""
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def figure1_oracle(k, m):
@@ -397,6 +436,18 @@ class TestOutputContract:
     def test_csv_uses_lf_endings(self, capsys):
         _, out, _ = run_cli(capsys, "sum", "--k", "2", "--m", "4")
         assert "\r" not in out
+
+    def test_csv_written_in_blocks(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        assert main(["figure1", "--k-to", "12"]) == 0
+        lines = "".join(writes).splitlines()
+        assert len(writes) >= 3 and len(lines) == 1 + 11 * 198
+        assert all(w.endswith("\n") for w in writes)
+        # each block after the header's stops at the first row taking it to 64 KB
+        longest = max(len(line) + 1 for line in lines)
+        assert all(64 * 1024 <= len(w) < 64 * 1024 + longest for w in writes[1:-1])
+        assert len(writes[-1]) < 64 * 1024 + longest
 
     def test_digits_flag_controls_floats(self, capsys):
         _, wide, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "12")
