@@ -30,6 +30,8 @@ class RealArg(namedtuple("RealArg", "m")):
     endpoint m - 1 is >= 1 and all powers below are of a positive base."""
 
     __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would bypass __new__
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, m) -> RealArg:
         m = Fraction(m)

@@ -34,6 +34,8 @@ class DivisorBudget(namedtuple("DivisorBudget", "max_trial")):
     """
 
     __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would bypass __new__
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, max_trial: int) -> DivisorBudget:
         if max_trial < 2:

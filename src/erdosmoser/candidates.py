@@ -14,6 +14,7 @@ by case.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,25 +39,32 @@ class Source(Enum):
 
 
 class CaseKind(Enum):
-    """The five named candidate-root cases, keyed by the parity of k.
+    """The five named candidate-root cases, one row each.
 
-    Each member knows its parity, its minimum admissible k, and the
-    candidate value it designates.
+    A row holds the label (the member's value), whether k is even, the
+    minimum admissible k, the k from which the case's dominance ratio
+    decreases, the ratio's large-k limit, and the candidate m0 as a
+    function of k.  Every minimum puts the candidate at 3 or above.
     """
 
-    EVEN_KM1 = "even k, candidate k - 1"
-    EVEN_2KM1 = "even k, candidate 2(k - 1)"
-    ODD_KM2 = "odd k, candidate k - 2"
-    ODD_KP1 = "odd k, candidate k + 1"
-    ODD_PROD = "odd k, candidate (k + 1)(k - 2)"
+    # label, even_k, min_k, monotone_start, limit, candidate formula
+    EVEN_KM1 = ("even k, candidate k - 1", True, 4, 4, 2.0 * math.e / 3.0, lambda k: k - 1)
+    EVEN_2KM1 = (
+        "even k, candidate 2(k - 1)", True, 4, 8, 2.0 * math.sqrt(math.e) / 5.0, lambda k: 2 * (k - 1)
+    )
+    ODD_KM2 = ("odd k, candidate k - 2", False, 5, 5, 2.0 * math.e / 3.0, lambda k: k - 2)
+    ODD_KP1 = ("odd k, candidate k + 1", False, 3, 3, 2.0 * math.e / 3.0, lambda k: k + 1)
+    ODD_PROD = ("odd k, candidate (k + 1)(k - 2)", False, 3, 5, 0.0, lambda k: (k + 1) * (k - 2))
 
-    @property
-    def even_k(self) -> bool:
-        return self in (CaseKind.EVEN_KM1, CaseKind.EVEN_2KM1)
-
-    @property
-    def min_k(self) -> int:
-        return _MIN_K[self]
+    def __new__(cls, label, even_k, min_k, monotone_start, limit, formula):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.even_k = even_k
+        member.min_k = min_k
+        member.monotone_start = monotone_start
+        member.limit = limit
+        member._formula = formula
+        return member
 
     def accepts(self, k: int) -> bool:
         """True iff k has this case's parity and meets its minimum."""
@@ -72,24 +80,8 @@ class CaseKind(Enum):
     def candidate(self, k: int) -> int:
         """The integer candidate value this case designates for k."""
         self.require(k)
-        return _CANDIDATE[self](k)
+        return self._formula(k)
 
-
-_MIN_K = {
-    CaseKind.EVEN_KM1: 4,
-    CaseKind.EVEN_2KM1: 4,
-    CaseKind.ODD_KM2: 5,  # k = 3 would put the candidate below 3
-    CaseKind.ODD_KP1: 3,
-    CaseKind.ODD_PROD: 3,
-}
-
-_CANDIDATE = {
-    CaseKind.EVEN_KM1: lambda k: k - 1,
-    CaseKind.EVEN_2KM1: lambda k: 2 * (k - 1),
-    CaseKind.ODD_KM2: lambda k: k - 2,
-    CaseKind.ODD_KP1: lambda k: k + 1,
-    CaseKind.ODD_PROD: lambda k: (k + 1) * (k - 2),
-}
 
 class CandidateSet(NamedTuple):
     """All positive rational-root candidates for one exponent k.
@@ -127,26 +119,21 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
         source = Source.QUOTIENT
         zero_root = True
     divs = divisors(constant, budget)
-    cands = sorted({Fraction(d) for d in divs} | {Fraction(d, 2) for d in divs})
+    cands = tuple(Fraction(e, 2) for e in sorted({*divs, *(2 * d for d in divs)}))
     # every integer d/2 is itself a divisor, so the integers are the divisors
     ints = tuple(d for d in divs if d >= 3)
-    return CandidateSet(k, source, tuple(cands), ints, zero_root)
+    return CandidateSet(k, source, cands, ints, zero_root)
 
 
 def highlighted_candidates(k: int) -> list[tuple[CaseKind, int]]:
     """The named integer candidates whose minimum-k guards admit k.
 
     Even k >= 4 yields k-1 and 2(k-1); odd k >= 5 yields k-2; odd k >= 3
-    yields k+1 and (k+1)(k-2).  Values below 3 are dropped.  A k too small
-    for every case (even k < 4, odd k < 3) gives an empty list.  At k = 3
-    the two odd cases coincide at the same value, 4; both are reported.
+    yields k+1 and (k+1)(k-2).  Every minimum keeps the value >= 3.  A k
+    too small for every case (even k < 4, odd k < 3) gives an empty list.
+    At k = 3 the two odd cases coincide at the same value, 4; both are
+    reported.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    out: list[tuple[CaseKind, int]] = []
-    for case in CaseKind:
-        if case.accepts(k):
-            value = case.candidate(k)
-            if value >= 3:
-                out.append((case, value))
-    return out
+    return [(case, case.candidate(k)) for case in CaseKind if case.accepts(k)]

@@ -53,6 +53,8 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
     """
 
     __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would bypass __new__
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, coeffs) -> IntPoly:
         c = tuple(coeffs)
@@ -160,9 +162,10 @@ def eml_multiplier(k: int) -> int:
 def full_eml_poly(k: int) -> ClearedPoly:
     """The exact power-sum difference as an integer polynomial.
 
-    Expands the full Euler-Maclaurin form of sum_{i=1}^{m-1} i^k - m^k
-    with rational coefficients (corrections from
-    :func:`erdosmoser.powersum.eml_terms`), then multiplies by
+    Starts from :func:`cleared_poly` divided by 2(k+1), which is exactly
+    the integral-plus-boundary approximant of sum_{i=1}^{m-1} i^k minus
+    m^k, adds the Bernoulli corrections from
+    :func:`erdosmoser.powersum.eml_terms`, then multiplies by
     D = :func:`eml_multiplier`, which clears every denominator.  Degree
     k + 1, leading coefficient D/(k+1).  The constant term is whatever the
     expansion produces; it is not assembled from a separate closed form.
@@ -171,19 +174,8 @@ def full_eml_poly(k: int) -> ClearedPoly:
 
     D grows factorially with k; memory is the only practical limit.
     """
-    _require_exponent(k)
-    coeffs = [Fraction(0)] * (k + 2)
-    # ((m-1)^{k+1} - 1)/(k+1)
-    for i in range(k + 2):
-        coeffs[i] += Fraction(binomial(k + 1, i) * (-1) ** (k + 1 - i), k + 1)
-    coeffs[0] -= Fraction(1, k + 1)
-    # (1 + (m-1)^k)/2
-    coeffs[0] += Fraction(1, 2)
-    for i in range(k + 1):
-        coeffs[i] += Fraction(binomial(k, i) * (-1) ** (k - i), 2)
-    # -m^k
-    coeffs[k] -= 1
-    # Bernoulli corrections
+    leading = cleared_poly(k)
+    coeffs = [Fraction(c, leading.multiplier) for c in leading.poly.coeffs]
     for e, weight in eml_terms(k):
         for i in range(e + 1):
             coeffs[i] += weight * binomial(e, i) * (-1) ** (e - i)

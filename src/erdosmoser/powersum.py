@@ -25,6 +25,8 @@ class PowerSumQuery(namedtuple("PowerSumQuery", "n k")):
     """Parameters of the sum 1^k + 2^k + ... + n^k."""
 
     __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would bypass __new__
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, n: int, k: int) -> PowerSumQuery:
         if n < 0:

@@ -128,63 +128,33 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
     return reports
 
 
-def _ratio_parts(case: CaseKind, k: int) -> tuple[Fraction, Fraction]:
-    """(prefactor, base) with ratio = prefactor * base**k."""
-    if case is CaseKind.EVEN_KM1:
-        return Fraction(2 * (k + 1), 3 * (k - 1)), Fraction(k - 1, k - 2)
-    if case is CaseKind.EVEN_2KM1:
-        return Fraction(2 * (k + 1), 5 * (k - 1)), Fraction(2 * (k - 1), 2 * k - 3)
-    if case is CaseKind.ODD_KM2:
-        return Fraction(2 * (k + 1), 3 * k - 5), Fraction(k - 2, k - 3)
-    if case is CaseKind.ODD_KP1:
-        return Fraction(2 * (k + 1), 3 * k + 1), Fraction(k + 1, k)
-    return (
-        Fraction(2 * (k + 1), 2 * k * k - k - 5),
-        Fraction((k + 1) * (k - 2), k * k - k - 3),
-    )
-
-
 def dominance_ratio(
     k: int, case: CaseKind, exact_cutoff: int = EXACT_CUTOFF_DEFAULT
 ) -> RatioPoint:
     """|negative term group| / positive term group at the case's candidate.
 
+    The groups are those of :func:`~erdosmoser.polyform.cleared_value` at
+    m0 = ``case.candidate(k)``: 2(k+1) m0^k over (2(m0-1) + k + 1)(m0-1)^k,
+    that is prefactor 2(k+1)/(2(m0-1) + k + 1) times base (m0/(m0-1))^k.
     Exact rational for k <= exact_cutoff, with the float column derived
     from it; log-space float beyond the cutoff (log1p keeps the base
     accurate when it is 1 + tiny).
     """
-    case.require(k)
-    pref, base = _ratio_parts(case, k)
+    m0 = case.candidate(k)
+    pref = Fraction(2 * (k + 1), 2 * (m0 - 1) + k + 1)
+    base = Fraction(m0, m0 - 1)
     if k <= exact_cutoff:
         exact: Optional[Fraction] = pref * base**k
         value = float(exact)
     else:
         exact = None
         value = math.exp(math.log(float(pref)) + k * math.log1p(float(base - 1)))
-    return RatioPoint(k, case, exact, value, dominance_limit(case))
-
-
-_TWO_E_THIRDS = 2.0 * math.e / 3.0
-_TWO_SQRT_E_FIFTHS = 2.0 * math.sqrt(math.e) / 5.0
+    return RatioPoint(k, case, exact, value, case.limit)
 
 
 def dominance_limit(case: CaseKind) -> float:
     """Large-k limit of the dominance ratio: 2e/3, 2*sqrt(e)/5, or 0."""
-    if case is CaseKind.EVEN_2KM1:
-        return _TWO_SQRT_E_FIFTHS
-    if case is CaseKind.ODD_PROD:
-        return 0.0
-    return _TWO_E_THIRDS
-
-
-#: k at which each case's monotone-decrease claim starts.
-_MONOTONE_START = {
-    CaseKind.EVEN_KM1: 4,
-    CaseKind.EVEN_2KM1: 8,
-    CaseKind.ODD_KM2: 5,
-    CaseKind.ODD_KP1: 3,
-    CaseKind.ODD_PROD: 5,
-}
+    return case.limit
 
 
 def dominance_series(
@@ -209,7 +179,7 @@ def dominance_series(
     points = tuple(
         dominance_ratio(k, case, exact_cutoff) for k in range(k_from, k_to + 1, step)
     )
-    start = _MONOTONE_START[case]
+    start = case.monotone_start
     tail = [p for p in points if p.k >= start]
     decreasing = all(_strictly_less(nxt, prev) for prev, nxt in zip(tail, tail[1:]))
     return RatioSeries(points, start, decreasing)

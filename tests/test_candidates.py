@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,30 @@ class TestCaseKind:
     def test_require_raises(self):
         with pytest.raises(DomainError):
             CaseKind.ODD_KM2.candidate(3)
+
+    def test_values_and_order_unchanged(self):
+        assert [c.value for c in CaseKind] == [
+            "even k, candidate k - 1",
+            "even k, candidate 2(k - 1)",
+            "odd k, candidate k - 2",
+            "odd k, candidate k + 1",
+            "odd k, candidate (k + 1)(k - 2)",
+        ]
+        for case in CaseKind:
+            assert CaseKind(case.value) is case and CaseKind[case.name] is case
+            assert repr(case) == f"<CaseKind.{case.name}: {case.value!r}>"
+
+    @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
+    def test_min_k_is_first_k_with_candidate_at_least_three(self, case):
+        parity = 0 if case.even_k else 1
+        first = next(k for k in range(parity, 100, 2) if case._formula(k) >= 3)
+        assert case.min_k == first
+        assert not case.accepts(case.min_k - 2) and case.accepts(case.min_k)
+
+    @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
+    def test_monotone_start_admitted(self, case):
+        assert case.monotone_start >= case.min_k
+        assert case.monotone_start % 2 == case.min_k % 2
 
 
 class TestCandidateRoots:
@@ -79,6 +104,15 @@ class TestCandidateRoots:
         assert set(cs.integer_candidates_ge3) == {
             int(c) for c in cs.all_candidates if c.denominator == 1 and c >= 3
         }
+
+    def test_all_candidates_complete_and_in_order(self):
+        # oracle: divisors d of the constant term by trial division up to its
+        # square root, with their halves, as one sorted set of Fractions
+        for k in range(2, 1001):
+            constant = 2 * (k - 1) if k % 2 == 0 else (k + 1) * (k - 2)
+            divs = {d for i in range(1, isqrt(constant) + 1) if constant % i == 0 for d in (i, constant // i)}
+            expected = tuple(sorted({Fraction(d) for d in divs} | {Fraction(d, 2) for d in divs}))
+            assert candidate_roots(k).all_candidates == expected, k
 
     def test_integer_candidates_in_order(self):
         # oracle: the integers >= 3 among all candidates, in increasing order
@@ -128,6 +162,17 @@ class TestHighlighted:
     @pytest.mark.parametrize("k", [1, 2])
     def test_too_small_k_gives_empty(self, k):
         assert highlighted_candidates(k) == []
+
+    def test_matches_filtered_loop(self):
+        # oracle: every admitted case whose candidate is >= 3, in member order
+        for k in range(1, 501):
+            expected = []
+            for case in CaseKind:
+                if case.accepts(k):
+                    value = case.candidate(k)
+                    if value >= 3:
+                        expected.append((case, value))
+            assert highlighted_candidates(k) == expected, k
 
     def test_subset_of_full_enumeration(self):
         for k in range(3, 201):

@@ -153,11 +153,15 @@ class TestFullEmlPoly:
             assert cp.poly.coeffs[-1] * (k + 1) == cp.multiplier
 
     def test_master_identity_sampled(self):
-        # poly(m) == D * (S(m-1, k) - m^k); acceptance runs the full grid
-        for k in range(1, 13):
+        # poly(m) == D * (S(m-1, k) - m^k); acceptance runs the full grid.
+        # For the large k, the k + 2 points m = 1..k+2 pin every one of the
+        # k + 2 coefficients.
+        grid = [(k, 60) for k in range(1, 13)]
+        grid += [(k, k + 2) for k in (30, 31, 60, 61, 100, 101)]
+        for k, m_max in grid:
             cp = full_eml_poly(k)
             running = 0
-            for m in range(1, 61):
+            for m in range(1, m_max + 1):
                 assert eval_poly(cp.poly, m) == cp.multiplier * (running - m**k), (k, m)
                 running += m**k
 

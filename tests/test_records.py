@@ -81,6 +81,31 @@ def test_validation_messages(cls, args, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PowerSumQuery._make((-1, 2)), "upper limit must be >= 0, got -1"),
+        (lambda: PowerSumQuery(3, 2)._replace(k=0), "exponent must be >= 1, got 0"),
+        (lambda: DivisorBudget._make([1]), "max_trial must be >= 2, got 1"),
+        (lambda: DivisorBudget(5)._replace(max_trial=1), "max_trial must be >= 2, got 1"),
+        (lambda: RealArg._make([Fraction(3, 2)]), "evaluation point must be >= 2, got 3/2"),
+        (lambda: RealArg(3)._replace(m=1), "evaluation point must be >= 2, got 1"),
+    ],
+    ids=["query-make", "query-replace", "budget-make", "budget-replace", "real-make", "real-replace"],
+)
+def test_make_and_replace_validate(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_make_and_replace_normalize():
+    assert IntPoly._make([(1, 0)]).coeffs == (1,)
+    assert IntPoly((1, 2))._replace(coeffs=[3, 0]).coeffs == (3,)
+    assert type(RealArg._make([3]).m) is Fraction
+    assert type(RealArg(3)._replace(m="7/2").m) is Fraction
+
+
 def test_keyword_construction_validates_too():
     assert PowerSumQuery(n=3, k=2) == PowerSumQuery(3, 2)
     assert DivisorBudget(max_trial=10).max_trial == 10

@@ -8,6 +8,7 @@ from erdosmoser.errors import DomainError
 from erdosmoser.polyform import eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
+    EXACT_CUTOFF_DEFAULT,
     FULL_SET,
     Sign,
     asymptotic_value,
@@ -123,6 +124,53 @@ class TestDominanceRatio:
         a = dominance_ratio(3, CaseKind.ODD_KP1).exact
         b = dominance_ratio(3, CaseKind.ODD_PROD).exact
         assert a == b
+
+
+def _ratio_parts(case, k):
+    """(prefactor, base) with ratio = prefactor * base**k, derived by hand
+    for each case from the cleared polynomial at its candidate."""
+    if case is CaseKind.EVEN_KM1:
+        return Fraction(2 * (k + 1), 3 * (k - 1)), Fraction(k - 1, k - 2)
+    if case is CaseKind.EVEN_2KM1:
+        return Fraction(2 * (k + 1), 5 * (k - 1)), Fraction(2 * (k - 1), 2 * k - 3)
+    if case is CaseKind.ODD_KM2:
+        return Fraction(2 * (k + 1), 3 * k - 5), Fraction(k - 2, k - 3)
+    if case is CaseKind.ODD_KP1:
+        return Fraction(2 * (k + 1), 3 * k + 1), Fraction(k + 1, k)
+    return (
+        Fraction(2 * (k + 1), 2 * k * k - k - 5),
+        Fraction((k + 1) * (k - 2), k * k - k - 3),
+    )
+
+
+class TestRatioAgainstHandDerivedParts:
+    @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
+    def test_exact(self, case):
+        for k in range(case.min_k, 201, 2):
+            pref, base = _ratio_parts(case, k)
+            assert dominance_ratio(k, case).exact == pref * base**k, k
+
+    @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
+    def test_float_identical_past_cutoff(self, case):
+        for k in range(case.min_k, 2002, 2):
+            pref, base = _ratio_parts(case, k)
+            if k <= EXACT_CUTOFF_DEFAULT:
+                want = float(pref * base**k)
+            else:
+                want = math.exp(math.log(float(pref)) + k * math.log1p(float(base - 1)))
+            assert dominance_ratio(k, case).value == want, k
+
+    def test_limits_identical(self):
+        want = {
+            CaseKind.EVEN_KM1: 2.0 * math.e / 3.0,
+            CaseKind.EVEN_2KM1: 2.0 * math.sqrt(math.e) / 5.0,
+            CaseKind.ODD_KM2: 2.0 * math.e / 3.0,
+            CaseKind.ODD_KP1: 2.0 * math.e / 3.0,
+            CaseKind.ODD_PROD: 0.0,
+        }
+        for case in CaseKind:
+            assert dominance_limit(case) == want[case], case
+            assert dominance_ratio(case.min_k, case).limit == want[case], case
 
 
 class TestDominanceLimit:
