@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import DomainError
-from .powersum import eml_terms
+from .powersum import _require_exponent, eml_terms
 
 __all__ = [
     "RealArg",
@@ -95,8 +95,3 @@ def sum_eml_truncated(arg: RealArg, k: int, p: int) -> Fraction:
     for e, weight in islice(eml_terms(k), p):
         total += weight * (b**e - 1)
     return total
-
-
-def _require_exponent(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")

@@ -1,5 +1,5 @@
-"""Exact-arithmetic substrate: Bernoulli numbers, combinatorial helpers,
-divisor enumeration with an explicit trial-division budget.
+"""Exact-arithmetic substrate: Bernoulli numbers and divisor enumeration
+with an explicit trial-division budget.
 
 Everything here works on Python ints (arbitrary precision) and
 ``fractions.Fraction`` (always normalized, positive denominator), so every
@@ -19,9 +19,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DivisorBudget",
     "bernoulli",
-    "binomial",
     "divisors",
-    "falling_factorial",
 ]
 
 
@@ -81,30 +79,6 @@ def bernoulli(n: int) -> Fraction:
                 acc += math.comb(nn + 1, 2 * j) * _BERNOULLI_EVEN[j]
             _BERNOULLI_EVEN.append(-acc / (nn + 1))
     return _BERNOULLI_EVEN[half]
-
-
-def falling_factorial(k: int, n: int) -> int:
-    """k (k-1) ... (k-n+1), the n-term falling product; 1 when n = 0.
-
-    Returns 0 when n > k, matching the vanishing of the n-th derivative
-    of x^k.
-    """
-    if n < 0:
-        raise DomainError(f"falling-factorial length must be >= 0, got {n}")
-    if k < 0:
-        raise DomainError(f"falling-factorial base must be >= 0, got {k}")
-    if n > k:
-        return 0
-    return math.perm(k, n)
-
-
-def binomial(n: int, i: int) -> int:
-    """n choose i, exactly; 0 when i < 0 or i > n (out-of-range convention)."""
-    if n < 0:
-        raise DomainError(f"binomial upper index must be >= 0, got {n}")
-    if i < 0 or i > n:
-        return 0
-    return math.comb(n, i)
 
 
 def divisors(n: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[int]:

@@ -59,12 +59,15 @@ class CaseKind(Enum):
     def __new__(cls, label, even_k, min_k, monotone_start, limit, formula):
         member = object.__new__(cls)
         member._value_ = label
-        member.even_k = even_k
-        member.min_k = min_k
-        member.monotone_start = monotone_start
-        member.limit = limit
+        member._row = (even_k, min_k, monotone_start, limit)
         member._formula = formula
         return member
+
+    # read-only views of the row, so no caller can change a case for the others
+    even_k = property(lambda self: self._row[0])
+    min_k = property(lambda self: self._row[1])
+    monotone_start = property(lambda self: self._row[2])
+    limit = property(lambda self: self._row[3])
 
     def accepts(self, k: int) -> bool:
         """True iff k has this case's parity and meets its minimum."""

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
-from .arith import DivisorBudget
+from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, candidate_roots
 from .errors import BudgetExceededError, DomainError
 from .polyform import cleared_poly, cleared_value, full_eml_poly
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decimal digits for float columns (default: 6)")
     exact.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
                        help="emit exact value columns alongside floats")
-    budget.add_argument("--trial-budget", type=int, default=1_000_000,
+    budget.add_argument("--trial-budget", type=int, default=DEFAULT_BUDGET.max_trial,
                         help="largest trial divisor attempted when factoring")
 
     parser = _Parser(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BudgetExceededError", "DomainError", "InternalConsistencyError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's documented domain."""

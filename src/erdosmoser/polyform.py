@@ -25,16 +25,14 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .arith import binomial
 from .errors import DomainError, InternalConsistencyError
-from .powersum import eml_terms
+from .powersum import _require_exponent, eml_terms
 
 __all__ = [
     "ClearedPoly",
     "IntPoly",
     "cleared_poly",
     "cleared_value",
-    "constant_and_linear_terms",
     "eml_multiplier",
     "eval_poly",
     "full_eml_poly",
@@ -99,9 +97,9 @@ def cleared_poly(k: int) -> ClearedPoly:
     _require_exponent(k)
     c = [0] * (k + 2)
     for i in range(k + 2):
-        c[i] += 2 * binomial(k + 1, i) * (-1) ** (k + 1 - i)
+        c[i] += 2 * math.comb(k + 1, i) * (-1) ** (k + 1 - i)
     for i in range(k + 1):
-        c[i] += (k + 1) * binomial(k, i) * (-1) ** (k - i)
+        c[i] += (k + 1) * math.comb(k, i) * (-1) ** (k - i)
     c[k] -= 2 * (k + 1)
     c[0] += k - 1
     return ClearedPoly(IntPoly(tuple(c)), k, 2 * (k + 1))
@@ -117,20 +115,6 @@ def cleared_value(k: int, m: int) -> int:
     _require_exponent(k)
     b = m - 1
     return (2 * b + k + 1) * b**k - 2 * (k + 1) * m**k + k - 1
-
-
-def constant_and_linear_terms(k: int) -> tuple[int, int]:
-    """(constant, linear) coefficients of the cleared polynomial, read off
-    the expansion rather than recomputed from closed forms.
-
-    The parity law (constant = 2(k-1) for even k, 0 for odd k) and the
-    odd-k linear coefficient (k+1)(k-2) are asserted against these values
-    by the test suite.
-    """
-    if k < 2:
-        raise DomainError(f"defined for k >= 2, got {k}")
-    coeffs = cleared_poly(k).poly.coeffs
-    return coeffs[0], coeffs[1]
 
 
 def quotient_poly(k: int) -> IntPoly:
@@ -178,7 +162,7 @@ def full_eml_poly(k: int) -> ClearedPoly:
     coeffs = [Fraction(c, leading.multiplier) for c in leading.poly.coeffs]
     for e, weight in eml_terms(k):
         for i in range(e + 1):
-            coeffs[i] += weight * binomial(e, i) * (-1) ** (e - i)
+            coeffs[i] += weight * math.comb(e, i) * (-1) ** (e - i)
         coeffs[0] -= weight
     multiplier = eml_multiplier(k)
     cleared = []
@@ -190,8 +174,3 @@ def full_eml_poly(k: int) -> ClearedPoly:
             )
         cleared.append(int(v))
     return ClearedPoly(IntPoly(tuple(cleared)), k, multiplier)
-
-
-def _require_exponent(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")

@@ -15,10 +15,16 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .arith import bernoulli, falling_factorial
+from .arith import bernoulli
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = ["PowerSumQuery", "eml_terms", "sum_direct", "sum_eml_exact"]
+
+
+def _require_exponent(k: int) -> None:
+    # the one exponent check, shared with approx and polyform
+    if k < 1:
+        raise DomainError(f"exponent must be >= 1, got {k}")
 
 
 class PowerSumQuery(namedtuple("PowerSumQuery", "n k")):
@@ -31,8 +37,7 @@ class PowerSumQuery(namedtuple("PowerSumQuery", "n k")):
     def __new__(cls, n: int, k: int) -> PowerSumQuery:
         if n < 0:
             raise DomainError(f"upper limit must be >= 0, got {n}")
-        if k < 1:
-            raise DomainError(f"exponent must be >= 1, got {k}")
+        _require_exponent(k)
         return super().__new__(cls, n, k)
 
 
@@ -41,13 +46,13 @@ def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:
     sum_{i=1}^n i^k: (exponent k-(2r-1), weight B_{2r}/(2r)! * k_(2r-1)) for
     r = 1..floor(k/2), the r-th correction being weight * (n^exponent - 1).
 
-    ``k_(j)`` is the falling factorial; corrections of derivative order
-    above k vanish.  Lazy, so taking the first p terms computes only the
-    Bernoulli numbers they need.
+    ``k_(j)`` is the falling factorial ``math.perm(k, j)``; corrections of
+    derivative order above k vanish.  Lazy, so taking the first p terms
+    computes only the Bernoulli numbers they need.
     """
     for r in range(1, k // 2 + 1):
         drop = 2 * r - 1
-        yield k - drop, bernoulli(2 * r) * falling_factorial(k, drop) / math.factorial(2 * r)
+        yield k - drop, bernoulli(2 * r) * math.perm(k, drop) / math.factorial(2 * r)
 
 
 def sum_direct(q: PowerSumQuery) -> int:

@@ -24,14 +24,12 @@ from .polyform import cleared_value
 from .search import first_nonnegative
 
 __all__ = [
-    "EXACT_CUTOFF_DEFAULT",
     "FULL_SET",
     "RatioPoint",
     "RatioSeries",
     "Sign",
     "SignReport",
     "asymptotic_value",
-    "dominance_limit",
     "dominance_ratio",
     "dominance_series",
     "sign_at",
@@ -43,9 +41,9 @@ __all__ = [
 #: rather than one of the named cases.
 FULL_SET = None
 
-#: Largest k for which dominance ratios are computed as exact rationals by
-#: default; the powers involved stay near k*log2(k) bits, which is cheap.
-EXACT_CUTOFF_DEFAULT = 200
+# Largest k for which dominance ratios are computed as exact rationals; the
+# powers involved stay near k*log2(k) bits, which is cheap.
+_EXACT_CUTOFF = 200
 
 
 class Sign(Enum):
@@ -128,22 +126,20 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
     return reports
 
 
-def dominance_ratio(
-    k: int, case: CaseKind, exact_cutoff: int = EXACT_CUTOFF_DEFAULT
-) -> RatioPoint:
+def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:
     """|negative term group| / positive term group at the case's candidate.
 
     The groups are those of :func:`~erdosmoser.polyform.cleared_value` at
     m0 = ``case.candidate(k)``: 2(k+1) m0^k over (2(m0-1) + k + 1)(m0-1)^k,
     that is prefactor 2(k+1)/(2(m0-1) + k + 1) times base (m0/(m0-1))^k.
-    Exact rational for k <= exact_cutoff, with the float column derived
-    from it; log-space float beyond the cutoff (log1p keeps the base
-    accurate when it is 1 + tiny).
+    Exact rational for k <= 200, with the float column derived from it;
+    log-space float beyond that cutoff (log1p keeps the base accurate when
+    it is 1 + tiny).
     """
     m0 = case.candidate(k)
     pref = Fraction(2 * (k + 1), 2 * (m0 - 1) + k + 1)
     base = Fraction(m0, m0 - 1)
-    if k <= exact_cutoff:
+    if k <= _EXACT_CUTOFF:
         exact: Optional[Fraction] = pref * base**k
         value = float(exact)
     else:
@@ -152,18 +148,7 @@ def dominance_ratio(
     return RatioPoint(k, case, exact, value, case.limit)
 
 
-def dominance_limit(case: CaseKind) -> float:
-    """Large-k limit of the dominance ratio: 2e/3, 2*sqrt(e)/5, or 0."""
-    return case.limit
-
-
-def dominance_series(
-    case: CaseKind,
-    k_from: int,
-    k_to: int,
-    step: int = 2,
-    exact_cutoff: int = EXACT_CUTOFF_DEFAULT,
-) -> RatioSeries:
+def dominance_series(case: CaseKind, k_from: int, k_to: int, step: int = 2) -> RatioSeries:
     """Ratio values over k = k_from, k_from + step, ..., <= k_to.
 
     The step must be even so the sampled k keep the case's parity.  The
@@ -176,9 +161,7 @@ def dominance_series(
         raise DomainError(f"step must be a positive even number, got {step}")
     if k_to < k_from:
         raise DomainError(f"empty range [{k_from}, {k_to}]")
-    points = tuple(
-        dominance_ratio(k, case, exact_cutoff) for k in range(k_from, k_to + 1, step)
-    )
+    points = tuple(dominance_ratio(k, case) for k in range(k_from, k_to + 1, step))
     start = case.monotone_start
     tail = [p for p in points if p.k >= start]
     decreasing = all(_strictly_less(nxt, prev) for prev, nxt in zip(tail, tail[1:]))

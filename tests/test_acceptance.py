@@ -11,18 +11,11 @@ import pytest
 
 from erdosmoser.candidates import CaseKind, candidate_roots, highlighted_candidates
 from erdosmoser.cli import main
-from erdosmoser.polyform import (
-    cleared_poly,
-    constant_and_linear_terms,
-    eval_poly,
-    full_eml_poly,
-    quotient_poly,
-)
+from erdosmoser.polyform import cleared_poly, eval_poly, full_eml_poly, quotient_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct, sum_eml_exact
 from erdosmoser.search import SearchHit, find_solutions
 from erdosmoser.signanalysis import (
     Sign,
-    dominance_limit,
     dominance_ratio,
     dominance_series,
     sign_at,
@@ -83,8 +76,8 @@ def test_criterion_03_ratio_tables():
 
 
 def test_criterion_04_limits_and_monotonicity():
-    two_e_thirds = dominance_limit(CaseKind.EVEN_KM1)
-    two_sqrt_e_fifths = dominance_limit(CaseKind.EVEN_2KM1)
+    two_e_thirds = CaseKind.EVEN_KM1.limit
+    two_sqrt_e_fifths = CaseKind.EVEN_2KM1.limit
     ok = True
     for case in (CaseKind.EVEN_KM1, CaseKind.ODD_KM2, CaseKind.ODD_KP1):
         k = 10000 if case.even_k else 10001
@@ -135,7 +128,7 @@ def test_criterion_05_sign_table_and_no_vanishing():
 def test_criterion_06_coefficient_laws():
     ok = True
     for k in range(2, 201):
-        a0, a1 = constant_and_linear_terms(k)
+        a0, a1 = cleared_poly(k).poly.coeffs[:2]
         if k % 2 == 0:
             ok = ok and a0 == 2 * (k - 1)
         else:

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdosmoser import arith
-from erdosmoser.arith import (
-    DivisorBudget,
-    bernoulli,
-    binomial,
-    divisors,
-    falling_factorial,
-)
+from erdosmoser.arith import DivisorBudget, bernoulli, divisors
 from erdosmoser.errors import BudgetExceededError, DomainError
 
 
@@ -49,51 +43,6 @@ class TestBernoulli:
             for j in range(0, n + 1, 2):
                 total += math.comb(n + 1, j) * bernoulli(j)
             assert total == 0, n
-
-
-class TestFallingFactorial:
-    def test_example(self):
-        assert falling_factorial(5, 3) == 60
-
-    @pytest.mark.parametrize("k", [0, 1, 7, 50])
-    def test_empty_product(self, k):
-        assert falling_factorial(k, 0) == 1
-
-    def test_vanishes_past_degree(self):
-        assert falling_factorial(4, 5) == 0
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(DomainError):
-            falling_factorial(5, -1)
-
-    def test_binomial_factorial_identity(self):
-        for k in range(51):
-            for n in range(k + 1):
-                assert falling_factorial(k, n) == binomial(k, n) * math.factorial(n)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 3) == 35
-
-    @pytest.mark.parametrize("n", [0, 1, 13])
-    def test_choose_zero(self, n):
-        assert binomial(n, 0) == 1
-
-    def test_out_of_range_convention(self):
-        assert binomial(4, 5) == 0
-        assert binomial(4, -1) == 0
-
-    def test_negative_upper_rejected(self):
-        with pytest.raises(DomainError):
-            binomial(-2, 1)
-
-    def test_pascal_triangle_oracle(self):
-        row = [1]
-        for n in range(20):
-            assert [binomial(n, i) for i in range(n + 1)] == row
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
 
 
 class TestDivisors:

@@ -47,6 +47,16 @@ class TestCaseKind:
             assert CaseKind(case.value) is case and CaseKind[case.name] is case
             assert repr(case) == f"<CaseKind.{case.name}: {case.value!r}>"
 
+    @pytest.mark.parametrize("field", ["even_k", "min_k", "monotone_start", "limit"])
+    def test_row_fields_are_read_only(self, field):
+        # a write would change the case for every caller in the process
+        case = CaseKind.EVEN_KM1
+        before = getattr(case, field)
+        with pytest.raises(AttributeError):
+            setattr(case, field, 2)
+        assert getattr(case, field) == before
+        assert not case.accepts(2) and case.candidate(4) == 3
+
     @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
     def test_min_k_is_first_k_with_candidate_at_least_three(self, case):
         parity = 0 if case.even_k else 1

@@ -10,7 +10,6 @@ from erdosmoser.polyform import (
     IntPoly,
     cleared_poly,
     cleared_value,
-    constant_and_linear_terms,
     eml_multiplier,
     eval_poly,
     full_eml_poly,
@@ -77,13 +76,13 @@ class TestClearedPoly:
 
 class TestCoefficientLaws:
     def test_examples(self):
-        assert constant_and_linear_terms(4)[0] == 6  # 2(k-1)
-        assert constant_and_linear_terms(3)[0] == 0
-        assert constant_and_linear_terms(3)[1] == 4  # (k+1)(k-2)
+        assert cleared_poly(4).poly.coeffs[0] == 6  # 2(k-1)
+        assert cleared_poly(3).poly.coeffs[0] == 0
+        assert cleared_poly(3).poly.coeffs[1] == 4  # (k+1)(k-2)
 
     def test_parity_law_to_200(self):
         for k in range(2, 201):
-            a0, _ = constant_and_linear_terms(k)
+            a0, _ = cleared_poly(k).poly.coeffs[:2]
             assert a0 == (2 * (k - 1) if k % 2 == 0 else 0), k
 
 

@@ -8,11 +8,9 @@ from erdosmoser.errors import DomainError
 from erdosmoser.polyform import eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
-    EXACT_CUTOFF_DEFAULT,
     FULL_SET,
     Sign,
     asymptotic_value,
-    dominance_limit,
     dominance_ratio,
     dominance_series,
     sign_at,
@@ -113,12 +111,15 @@ class TestDominanceRatio:
         assert p.exact is None and p.value > 0
 
     def test_cutoff_boundary_consistency(self):
-        # log-space float path agrees with the exact path where both exist
+        # just past the exact cutoff k = 200, the log-space float agrees
+        # with the exact closed-form ratio
         for case in CaseKind:
-            k = 100 if case.even_k else 101
-            exact = dominance_ratio(k, case).value
-            logspace = dominance_ratio(k, case, exact_cutoff=10).value
-            assert math.isclose(exact, logspace, rel_tol=1e-12)
+            k = 202 if case.even_k else 201
+            m0 = case.candidate(k)
+            exact = Fraction(2 * (k + 1) * m0**k, (2 * (m0 - 1) + k + 1) * (m0 - 1) ** k)
+            point = dominance_ratio(k, case)
+            assert point.exact is None
+            assert math.isclose(point.value, float(exact), rel_tol=1e-12)
 
     def test_coinciding_cases_at_k3(self):
         a = dominance_ratio(3, CaseKind.ODD_KP1).exact
@@ -154,7 +155,7 @@ class TestRatioAgainstHandDerivedParts:
     def test_float_identical_past_cutoff(self, case):
         for k in range(case.min_k, 2002, 2):
             pref, base = _ratio_parts(case, k)
-            if k <= EXACT_CUTOFF_DEFAULT:
+            if k <= 200:  # the exact cutoff
                 want = float(pref * base**k)
             else:
                 want = math.exp(math.log(float(pref)) + k * math.log1p(float(base - 1)))
@@ -169,7 +170,7 @@ class TestRatioAgainstHandDerivedParts:
             CaseKind.ODD_PROD: 0.0,
         }
         for case in CaseKind:
-            assert dominance_limit(case) == want[case], case
+            assert case.limit == want[case], case
             assert dominance_ratio(case.min_k, case).limit == want[case], case
 
 
@@ -177,13 +178,13 @@ class TestDominanceLimit:
     def test_two_e_thirds(self):
         want = 1.812187885639363  # 2e/3
         for case in (CaseKind.EVEN_KM1, CaseKind.ODD_KM2, CaseKind.ODD_KP1):
-            assert abs(dominance_limit(case) - want) < 1e-12
+            assert abs(case.limit - want) < 1e-12
 
     def test_two_sqrt_e_fifths(self):
-        assert abs(dominance_limit(CaseKind.EVEN_2KM1) - 0.659488508280051) < 1e-12
+        assert abs(CaseKind.EVEN_2KM1.limit - 0.659488508280051) < 1e-12
 
     def test_vanishing_limit(self):
-        assert dominance_limit(CaseKind.ODD_PROD) == 0.0
+        assert CaseKind.ODD_PROD.limit == 0.0
 
 
 class TestDominanceSeries:
