@@ -9,8 +9,9 @@ rows as tuples in that order.  A cell is an int, text (an exact integer
 or num/den string, or an enum name), a float (printed to --digits
 significant digits) or a bool (true/false); None is an absent cell, empty
 in CSV and null in JSON.  CSV is written unquoted, as the comment on the
-cell kinds explains, in blocks of about 64 KB as rows are computed (the
-default figure1's first block holds 556 rows); JSON is written at once.
+cell kinds explains.  Both formats are written in blocks of about 64 KB as
+rows are computed (the default figure1's first block holds 556 rows); JSON
+is still one object, byte for byte what ``json.dumps`` gives for it.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -46,7 +47,7 @@ SCHEMA_VERSION = "1"
 # are true/false.  So a CSV line is a plain ",".join of its cells.
 INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
 
-_CSV_BLOCK = 64 * 1024  # CSV characters per write; unbuffered, each write is a syscall
+_BLOCK = 64 * 1024  # characters per write, CSV or JSON; unbuffered, each write is a syscall
 
 _FIG1_QUANTITIES = (
     "sum_exact",
@@ -116,36 +117,40 @@ def _spellings(digits: Optional[int]) -> dict:
     }
 
 
-def _emit(args, command: str, params: dict, columns: list, rows: Iterable) -> None:
-    """CSV writes rows in blocks as they arrive; JSON collects them into its one object."""
+def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
+    """Write the table in blocks as its rows arrive.  CSV is the header and
+    one line per row, joined by newlines; JSON is the envelope and one
+    object per row, joined by ", ", inside the "rows" list."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
     spellings = _spellings(digits)
     spell = [spellings[kind][json_out] for _, kind in columns]
-    write = sys.stdout.write
     if json_out:
         import json  # CSV runs never pay for this import
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "params": params,
-            "rows": [
-                {n: None if v is None else f(v) for n, f, v in zip(names, spell, row, strict=True)}
-                for row in rows
-            ],
-        }
-        write(json.dumps(doc) + "\n")
-        return
-    lines, size = [",".join(names)], 0
+        envelope = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params, "rows": []}
+        )
+        # opened at the empty "rows" list, closed by its "]}"
+        text, block, sep, end = envelope[:-2], [], ", ", envelope[-2:] + "\n"
+
+        def line(row):
+            cells = zip(names, spell, row, strict=True)
+            return json.dumps({n: None if v is None else f(v) for n, f, v in cells})
+    else:
+        text, block, sep, end = "", [",".join(names)], "\n", "\n"
+
+        def line(row):
+            return ",".join(["" if v is None else f(v) for f, v in zip(spell, row, strict=True)])
+    write = sys.stdout.write
+    size = 0
     for row in rows:
-        if size >= _CSV_BLOCK:  # flushed before a row is added, so the last write is never empty
-            write("\n".join(lines) + "\n")
-            lines, size = [], 0
-        line = ",".join(["" if v is None else f(v) for f, v in zip(spell, row, strict=True)])
-        lines.append(line)
-        size += len(line) + 1
-    write("\n".join(lines) + "\n")
+        if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
+            write(text + sep.join(block) + sep)
+            text, block, size = "", [], 0
+        block.append(line(row))
+        size += len(block[-1]) + len(sep)
+    write(text + sep.join(block) + end)
 
 
 def _cmd_sum(args):
@@ -155,8 +160,8 @@ def _cmd_sum(args):
     direct = sum_direct(query)
     expansion = sum_eml_exact(query)
     columns = [("k", INT), ("m", INT), ("sum_direct", TEXT), ("sum_eml", TEXT), ("diff", TEXT)]
-    row = (args.k, args.m, str(direct), str(expansion), str(direct - expansion))
-    return "sum", {"k": args.k, "m": args.m}, columns, [row]
+    row = (args.k, args.m, direct, expansion, direct - expansion)
+    return {"k": args.k, "m": args.m}, columns, [row]
 
 
 def _cmd_approx(args):
@@ -168,7 +173,7 @@ def _cmd_approx(args):
         "correction_ratio": correction_ratio(arg, args.k) if arg.m >= 3 else None,
         "sum_truncated": sum_eml_truncated(arg, args.k, p),
     }
-    row = (args.k, str(arg.m), p)
+    row = (args.k, arg.m, p)
     for value in values.values():
         if value is None:
             row += (None,) * (3 if args.exact else 2)
@@ -176,12 +181,11 @@ def _cmd_approx(args):
             row += _triplet(value.numerator, value.denominator, args.exact)
     columns = [("k", INT), ("m", TEXT), ("p", INT)] + _triplet_columns(values, args.exact)
     params = {"k": args.k, "m": str(arg.m), "p": p}
-    return "approx", params, columns, [row]
+    return params, columns, [row]
 
 
 def _cmd_poly(args):
     cp = full_eml_poly(args.k) if args.full_eml else cleared_poly(args.k)
-    rows = [(i, str(c)) for i, c in enumerate(cp.poly.coeffs)]
     params = {
         "k": args.k,
         "full_eml": args.full_eml,
@@ -189,14 +193,14 @@ def _cmd_poly(args):
         "multiplier": str(cp.multiplier),
         "leading": str(cp.poly.coeffs[-1]),
     }
-    return "poly", params, [("power", INT), ("coefficient", TEXT)], rows
+    return params, [("power", INT), ("coefficient", TEXT)], enumerate(cp.poly.coeffs)
 
 
 def _cmd_candidates(args):
     cs = candidate_roots(args.k, DivisorBudget(args.trial_budget))
     integers = set(cs.integer_candidates_ge3)
     rows = [
-        (str(c), c.denominator == 1, c.denominator == 1 and int(c) in integers)
+        (c, c.denominator == 1, c.denominator == 1 and int(c) in integers)
         for c in cs.all_candidates
     ]
     params = {
@@ -206,18 +210,12 @@ def _cmd_candidates(args):
         "count": len(cs.all_candidates),
     }
     columns = [("candidate", TEXT), ("is_integer", BOOL), ("integer_ge3", BOOL)]
-    return "candidates", params, columns, rows
+    return params, columns, rows
 
 
 def _cmd_signs(args):
     reports = sign_summary(args.k_max, DivisorBudget(args.trial_budget))
-    rows = []
-    zeros = 0
-    for r in reports:
-        if r.sign is Sign.ZERO:
-            zeros += 1
-        case = "FULL_SET" if r.case is None else r.case.name
-        rows.append((r.k, case, r.m0, str(r.value), r.sign.name))
+    zeros = sum(r.sign is Sign.ZERO for r in reports)
     if zeros:
         print(
             f"warning: {zeros} candidate(s) evaluate to exactly zero, "
@@ -225,7 +223,11 @@ def _cmd_signs(args):
             file=sys.stderr,
         )
     columns = [("k", INT), ("case", TEXT), ("m0", INT), ("value", TEXT), ("sign", TEXT)]
-    return "signs", {"k_max": args.k_max}, columns, rows
+    rows = (
+        (r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
+        for r in reports
+    )
+    return {"k_max": args.k_max}, columns, rows
 
 
 def _cmd_ratios(args):
@@ -239,7 +241,7 @@ def _cmd_ratios(args):
     for point in series.points:
         row = (case.name, point.k, point.value)
         if args.exact:
-            row += (None if point.exact is None else str(point.exact),)
+            row += (point.exact,)
         rows.append(row + (point.limit, series.decreasing_from_start))
     params = {
         "case": case.name,
@@ -248,28 +250,21 @@ def _cmd_ratios(args):
         "step": args.step,
         "monotone_start": series.monotone_start,
     }
-    return "ratios", params, columns, rows
+    return params, columns, rows
 
 
 def _cmd_threshold(args):
     predicted, crossing = sign_threshold(args.k)
     columns = [("k", INT), ("predicted", TEXT), ("predicted_float", FLOAT), ("crossing", INT)]
-    row = (args.k, str(predicted), float(predicted), crossing)
-    return "threshold", {"k": args.k}, columns, [row]
+    row = (args.k, predicted, float(predicted), crossing)
+    return {"k": args.k}, columns, [row]
 
 
 def _cmd_search(args):
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
-    hits = find_solutions(args.k, args.m, shards=args.jobs)
-    rows = [(hit.k, hit.m) for hit in hits]
-    params = {
-        "k_from": args.k[0],
-        "k_to": args.k[1],
-        "m_from": args.m[0],
-        "m_to": args.m[1],
-    }
-    return "search", params, [("k", INT), ("m", INT)], rows
+    params = {"k_from": args.k[0], "k_to": args.k[1], "m_from": args.m[0], "m_to": args.m[1]}
+    return params, [("k", INT), ("m", INT)], find_solutions(args.k, args.m, shards=args.jobs)
 
 
 def _cmd_figure1(args):
@@ -282,7 +277,7 @@ def _cmd_figure1(args):
     columns = [("k", INT), ("m", INT)] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
     params = {"k_from": k_from, "k_to": k_to, "m_from": m_from, "m_to": m_to}
     rows = _figure1_rows(range(k_from, k_to + 1), range(m_from, m_to + 1), args.exact)
-    return "figure1", params, columns, rows
+    return params, columns, rows
 
 
 def _figure1_rows(ks: range, ms: range, include_exact: bool):
@@ -338,7 +333,7 @@ def _cmd_figure2(args):
         + _triplet_columns(["value"], args.exact)
         + [("sign", TEXT), ("ratio", FLOAT), ("limit", FLOAT)]
     )
-    return "figure2", {"k_to": args.k_to}, columns, rows
+    return {"k_to": args.k_to}, columns, rows
 
 def build_parser() -> argparse.ArgumentParser:
     fmt, digits, exact, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))
@@ -435,7 +430,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
         if "trial_budget" in args and args.trial_budget < 2:
             raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
-        command, params, columns, rows = args.handler(args)
+        params, columns, rows = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,7 +438,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        _emit(args, command, params, columns, rows)
+        _emit(args, params, columns, rows)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (``| head``).  Point stdout at devnull so the

@@ -65,16 +65,13 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __call__(self, m: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * m + c
-        return acc
-
 
 def eval_poly(p: IntPoly, m: Scalar) -> Scalar:
     """Exact Horner evaluation; an int argument gives an int result."""
-    return p(m)
+    acc: Scalar = 0
+    for c in reversed(p.coeffs):
+        acc = acc * m + c
+    return acc
 
 
 class ClearedPoly(NamedTuple):
@@ -154,7 +151,7 @@ def full_eml_poly(k: int) -> ClearedPoly:
     k + 1, leading coefficient D/(k+1).  The constant term is whatever the
     expansion produces; it is not assembled from a separate closed form.
     Master identity, asserted by the tests:
-    poly(m) == D * (sum_{i<m} i^k - m^k) for integer m.
+    eval_poly(poly, m) == D * (sum_{i<m} i^k - m^k) for integer m.
 
     D grows factorially with k; memory is the only practical limit.
     """

@@ -50,6 +50,7 @@ def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:
     derivative order above k vanish.  Lazy, so taking the first p terms
     computes only the Bernoulli numbers they need.
     """
+    _require_exponent(k)
     for r in range(1, k // 2 + 1):
         drop = 2 * r - 1
         yield k - drop, bernoulli(2 * r) * math.perm(k, drop) / math.factorial(2 * r)

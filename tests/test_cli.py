@@ -270,6 +270,9 @@ class TestSearchCommand:
     def test_header_present_without_hits(self, capsys):
         _, out, _ = run_cli(capsys, "search", "--k", "2..2", "--m", "3..10")
         assert out.splitlines() == ["k,m"]
+        _, out, _ = run_cli(capsys, "search", "--k", "2..2", "--m", "3..10", "--format", "json")
+        assert out == ('{"schema_version": "1", "command": "search", "params": '
+                       '{"k_from": 2, "k_to": 2, "m_from": 3, "m_to": 10}, "rows": []}\n')
 
     def test_single_value_range_syntax(self, capsys):
         _, out, _ = run_cli(capsys, "search", "--k", "1", "--m", "3..10", "--format", "json")
@@ -315,6 +318,8 @@ class TestFigure1:
     def test_invalid_range_is_2(self, capsys):
         code, out, _ = run_cli(capsys, "figure1", "--k-from", "5", "--k-to", "2")
         assert code == 2 and out == ""
+        code, out, _ = run_cli(capsys, "figure1", "--k-from", "5", "--k-to", "2", "--format", "json")
+        assert code == 2 and out == ""
 
     def test_invalid_m_range_is_2(self, capsys):
         code, out, err = run_cli(capsys, "figure1", "--m-from", "9", "--m-to", "4")
@@ -332,6 +337,19 @@ class TestFigure1:
         finally:
             proc.kill()
         assert head[0].startswith(b"k,m,sum_exact,") and head[1].startswith(b"2,3,5,")
+        assert proc.returncode == 141
+        assert err == b""
+        # JSON has no line break before its end: the reader takes 4,096 bytes,
+        # as `erdosmoser figure1 --format json | head -c 4096` does
+        proc = cli_process("figure1", "--format", "json", unbuffered=unbuffered,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert head.startswith(b'{"schema_version": "1", "command": "figure1", ')
         assert proc.returncode == 141
         assert err == b""
 
@@ -449,6 +467,18 @@ class TestOutputContract:
         assert all(64 * 1024 <= len(w) < 64 * 1024 + longest for w in writes[1:-1])
         assert len(writes[-1]) < 64 * 1024 + longest
 
+    def test_json_written_in_blocks(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        assert main(["signs", "--k-max", "200", "--format", "json"]) == 0
+        joined = "".join(writes)
+        assert joined == json.dumps(json.loads(joined)) + "\n"
+        assert len(writes) >= 3
+        # each block after the first stops at the first row object, with its
+        # ", ", taking it to 64 KB
+        longest = max(len(json.dumps(row)) + 2 for row in json.loads(joined)["rows"])
+        assert all(64 * 1024 <= len(w) < 64 * 1024 + longest for w in writes[1:-1])
+
     def test_digits_flag_controls_floats(self, capsys):
         _, wide, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "12")
         _, narrow, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "2")
@@ -485,6 +515,9 @@ class TestSignsBudget:
     def test_trial_budget_exceeded_is_3(self, capsys):
         # candidates for some k <= 10 need trial divisors above 2
         code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "2")
+        assert code == 3 and "trial budget 2" in err and out == ""
+        code, out, err = run_cli(capsys, "signs", "--k-max", "10", "--trial-budget", "2",
+                                 "--format", "json")
         assert code == 3 and "trial budget 2" in err and out == ""
 
     @pytest.mark.parametrize(

@@ -73,6 +73,11 @@ class TestEmlTerms:
     def test_no_corrections_for_k1(self):
         assert list(eml_terms(1)) == []
 
+    @pytest.mark.parametrize("k", [0, -4])
+    def test_rejects_exponent_below_one(self, k):
+        with pytest.raises(DomainError, match=f"^exponent must be >= 1, got {k}$"):
+            list(eml_terms(k))
+
     def test_terms_are_lazy(self):
         # the first term needs only B_2, however large k is
         assert next(eml_terms(10**6)) == (10**6 - 1, Fraction(10**6, 12))
