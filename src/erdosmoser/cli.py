@@ -8,16 +8,15 @@ Each table declares its columns once, as (name, kind) pairs, and yields
 rows as tuples in that order.  A cell is an int, text (an exact integer
 or num/den string, or an enum name), a float (printed to --digits
 significant digits) or a bool (true/false); None is an absent cell, empty
-in CSV and null in JSON.  CSV is written unquoted, as the comment on the
-cell kinds explains.  Both formats are written in blocks of about 64 KB as
-rows are computed (the default figure1's first block holds 556 rows); JSON
-is still one object, byte for byte what ``json.dumps`` gives for it.
+in CSV and null in JSON.  Both formats go out in blocks of about 64 KB as
+rows are computed, each written until stdout has taken every byte; JSON is
+still one object, byte for byte what ``json.dumps`` gives for it.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
-the output ended, as in ``erdosmoser figure1 | head``.  Output is
-byte-identical across runs and, for search, across --jobs values; figures
-are emitted as data, never rendered.
+the output ended, as in ``erdosmoser figure1 | head``, unbuffered too.
+Output is byte-identical across runs and, for search, across --jobs
+values; figures are emitted as data, never rendered.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, candidate_roots
 from .errors import BudgetExceededError, DomainError
-from .polyform import cleared_poly, cleared_value, full_eml_poly
+from .polyform import cleared_poly, full_eml_poly
 from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
 from .search import find_solutions
 from .signanalysis import Sign, dominance_ratio, dominance_series, sign_at, sign_summary, sign_threshold
@@ -44,19 +43,12 @@ SCHEMA_VERSION = "1"
 # Cell kinds.  Their spellings never contain a comma, a quote or a line
 # break: ints and exact text are digits, '-' and '/', enum names are
 # [A-Z0-9_], floats are digits, '.', 'e', '+', '-', inf or nan, and bools
-# are true/false.  So a CSV line is a plain ",".join of its cells.
+# are true/false.  So CSV needs no quoting.
 INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
 
-_BLOCK = 64 * 1024  # characters per write, CSV or JSON; unbuffered, each write is a syscall
+_BLOCK = 64 * 1024  # characters per block, CSV or JSON
 
-_FIG1_QUANTITIES = (
-    "sum_exact",
-    "sum_approx",
-    "power",
-    "diff_approx",
-    "diff_corrected",
-    "diff_exact",
-)
+_FIG1_QUANTITIES = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,10 +62,7 @@ class _Parser(argparse.ArgumentParser):
 def _range_arg(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        value = int(text)
-        return value, value
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
 
@@ -86,10 +75,8 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _triplet(num: int, den: int, include_exact: bool) -> tuple:
-    """Exact, ``_log10`` and ``_sign`` cells of num/den, given in lowest
-    terms with den > 0; ints and Fractions pass their ``.numerator`` and
-    ``.denominator``.  The exact cell is what ``str(Fraction(num, den))``
-    gives."""
+    """Exact, ``_log10`` and ``_sign`` cells of num/den, in lowest terms
+    with den > 0; the exact cell is what ``str(Fraction(num, den))`` gives."""
     log10 = math.log10(abs(num)) - math.log10(den) if num else None
     sign = (num > 0) - (num < 0)
     if include_exact:
@@ -107,25 +94,27 @@ def _triplet_columns(names, include_exact: bool) -> list[tuple[str, str]]:
 
 
 def _spellings(digits: Optional[int]) -> dict:
-    """(CSV, JSON) spelling of a present cell, per kind."""
-    float_text = f"%.{digits}g".__mod__
+    """(CSV, JSON, CSV template) spelling of a present cell, per kind."""
+    float_text = f"%.{digits}g"
     return {
-        INT: (str, int),
-        TEXT: (str, str),
-        FLOAT: (float_text, lambda v: float(float_text(v))),
-        BOOL: (lambda v: "true" if v else "false", bool),
+        INT: (str, int, "%d"),
+        TEXT: (str, str, "%s"),
+        FLOAT: (float_text.__mod__, lambda v: float(float_text % v), float_text),
+        BOOL: (lambda v: "true" if v else "false", bool, None),
     }
 
 
 def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
-    """Write the table in blocks as its rows arrive.  CSV is the header and
-    one line per row, joined by newlines; JSON is the envelope and one
+    """Write the table in blocks as its rows arrive, each until stdout has
+    taken every byte.  CSV is the header and one line per row, each one
+    ``%`` on a template of the column kinds (cell by cell for a None cell
+    or a bool column), joined by newlines; JSON is the envelope and one
     object per row, joined by ", ", inside the "rows" list."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
-    spellings = _spellings(digits)
-    spell = [spellings[kind][json_out] for _, kind in columns]
+    kinds = _spellings(digits)
+    spell = [kinds[kind][json_out] for _, kind in columns]
     if json_out:
         import json  # CSV runs never pay for this import
         envelope = json.dumps(
@@ -139,10 +128,24 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
             return json.dumps({n: None if v is None else f(v) for n, f, v in cells})
     else:
         text, block, sep, end = "", [",".join(names)], "\n", "\n"
+        pieces = [kinds[kind][2] for _, kind in columns]
+        # %.0s eats a trailing None: CPython 3.11 never reuses the freed
+        # 20-item tuples that figure1's rows would make
+        template = None if None in pieces else ",".join(pieces) + "%.0s"
 
         def line(row):
+            if template and None not in row:
+                return template % (*row, None)
             return ",".join(["" if v is None else f(v) for f, v in zip(spell, row, strict=True)])
-    write = sys.stdout.write
+    out = getattr(sys.stdout, "buffer", None)  # a text-only sink has none
+
+    def write(part):
+        if out is None:
+            return sys.stdout.write(part)
+        data = memoryview(part.encode())
+        while data:  # once the reader has gone, this raises BrokenPipeError
+            data = data[out.write(data):]
+    sys.stdout.flush()  # text written before must come first
     size = 0
     for row in rows:
         if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
@@ -186,29 +189,18 @@ def _cmd_approx(args):
 
 def _cmd_poly(args):
     cp = full_eml_poly(args.k) if args.full_eml else cleared_poly(args.k)
-    params = {
-        "k": args.k,
-        "full_eml": args.full_eml,
-        "degree": cp.poly.degree,
-        "multiplier": str(cp.multiplier),
-        "leading": str(cp.poly.coeffs[-1]),
-    }
+    params = {"k": args.k, "full_eml": args.full_eml, "degree": cp.poly.degree,
+              "multiplier": str(cp.multiplier), "leading": str(cp.poly.coeffs[-1])}
     return params, [("power", INT), ("coefficient", TEXT)], enumerate(cp.poly.coeffs)
 
 
 def _cmd_candidates(args):
     cs = candidate_roots(args.k, DivisorBudget(args.trial_budget))
     integers = set(cs.integer_candidates_ge3)
-    rows = [
-        (c, c.denominator == 1, c.denominator == 1 and int(c) in integers)
-        for c in cs.all_candidates
-    ]
-    params = {
-        "k": cs.k,
-        "source": cs.source.value,
-        "factored_root_zero": cs.factored_root_zero,
-        "count": len(cs.all_candidates),
-    }
+    rows = [(c, c.denominator == 1, c.denominator == 1 and int(c) in integers)
+            for c in cs.all_candidates]
+    params = {"k": cs.k, "source": cs.source.value, "factored_root_zero": cs.factored_root_zero,
+              "count": len(cs.all_candidates)}
     columns = [("candidate", TEXT), ("is_integer", BOOL), ("integer_ge3", BOOL)]
     return params, columns, rows
 
@@ -217,16 +209,11 @@ def _cmd_signs(args):
     reports = sign_summary(args.k_max, DivisorBudget(args.trial_budget))
     zeros = sum(r.sign is Sign.ZERO for r in reports)
     if zeros:
-        print(
-            f"warning: {zeros} candidate(s) evaluate to exactly zero, "
-            "i.e. the cleared polynomial has a rational root",
-            file=sys.stderr,
-        )
+        print(f"warning: {zeros} candidate(s) evaluate to exactly zero, "
+              "i.e. the cleared polynomial has a rational root", file=sys.stderr)
     columns = [("k", INT), ("case", TEXT), ("m0", INT), ("value", TEXT), ("sign", TEXT)]
-    rows = (
-        (r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
-        for r in reports
-    )
+    rows = ((r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
+            for r in reports)
     return {"k_max": args.k_max}, columns, rows
 
 
@@ -243,13 +230,8 @@ def _cmd_ratios(args):
         if args.exact:
             row += (point.exact,)
         rows.append(row + (point.limit, series.decreasing_from_start))
-    params = {
-        "case": case.name,
-        "k_from": args.k_from,
-        "k_to": args.k_to,
-        "step": args.step,
-        "monotone_start": series.monotone_start,
-    }
+    params = {"case": case.name, "k_from": args.k_from, "k_to": args.k_to, "step": args.step,
+              "monotone_start": series.monotone_start}
     return params, columns, rows
 
 
@@ -268,54 +250,48 @@ def _cmd_search(args):
 
 
 def _cmd_figure1(args):
-    k_from, k_to = args.k_from, args.k_to
-    m_from, m_to = args.m_from, args.m_to
-    if k_from < 1 or k_to < k_from:
-        raise DomainError(f"invalid k range [{k_from}, {k_to}]")
-    if m_from < 2 or m_to < m_from:
-        raise DomainError(f"invalid m range [{m_from}, {m_to}]")
+    ks, ms = range(args.k_from, args.k_to + 1), range(args.m_from, args.m_to + 1)
+    if not ks or ks.start < 1:
+        raise DomainError(f"invalid k range [{args.k_from}, {args.k_to}]")
+    if not ms or ms.start < 2:
+        raise DomainError(f"invalid m range [{args.m_from}, {args.m_to}]")
     columns = [("k", INT), ("m", INT)] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
-    params = {"k_from": k_from, "k_to": k_to, "m_from": m_from, "m_to": m_to}
-    rows = _figure1_rows(range(k_from, k_to + 1), range(m_from, m_to + 1), args.exact)
-    return params, columns, rows
+    params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
+    return params, columns, _figure1_rows(ks, ms, args.exact)
 
 
 def _figure1_rows(ks: range, ms: range, include_exact: bool):
-    """Lazily, one row per (k, m), every cell from integers.
-
-    With d = 2(k+1) and c = ``cleared_value(k, m)``, the leading
-    approximant minus m^k is c/d, and adding the first correction
-    (k/12)((m-1)^{k-1} - 1) gives (12c + dk((m-1)^{k-1} - 1))/(12d).
-    ``approx.sum_eml_leading`` and ``first_correction`` are the literal
-    Fraction forms; the tests rebuild every cell through them.
-    """
+    """Lazily, one row per (k, m), every cell from m^k and (m-1)^k, carried
+    from the previous m.  With d = 2(k+1), A = (2(m-1)+k+1)(m-1)^k + k - 1
+    is d S_R(m-1,k), c = A - d m^k, and the corrected difference is
+    (12c + dk((m-1)^{k-1} - 1))/(12d).  The tests rebuild every cell through
+    the Fraction forms ``approx.sum_eml_leading`` and ``first_correction``."""
+    log10, gcd = math.log10, math.gcd
     for k in ks:
         d = 2 * (k + 1)
         running = sum_direct(PowerSumQuery(ms.start - 1, k))
-        below = (ms.start - 1) ** k  # (m-1)^k, carried from the previous m
+        below = (ms.start - 1) ** k
         for m in ms:
-            c = cleared_value(k, m)
             power = m**k
-            correction = d * k * (below // (m - 1) - 1)
-            # A list, not a tuple: CPython 3.11 keeps up to 2,000 freed
-            # 20-item tuples on a free list it never reuses (~0.4 MB).
-            yield [
-                k,
-                m,
-                *_triplet(running, 1, include_exact),
-                *_triplet(*_lowest(c + d * power, d), include_exact),
-                *_triplet(power, 1, include_exact),
-                *_triplet(*_lowest(c, d), include_exact),
-                *_triplet(*_lowest(12 * c + correction, 12 * d), include_exact),
-                *_triplet(running - power, 1, include_exact),
+            a = (2 * m + k - 1) * below + k - 1
+            c = a - d * power
+            e = 12 * c + d * k * (below // (m - 1) - 1)
+            g, h = gcd(a, d), gcd(e, 12 * d)  # gcd(c, d) = gcd(a, d)
+            a, c, q, e, r, s = a // g, c // g, d // g, e // h, 12 * d // h, running - power
+            # S, S_R and m^k are positive
+            row = [
+                k, m, running, log10(running), 1,
+                a if q == 1 else f"{a}/{q}", log10(a) - log10(q), 1,
+                power, log10(power), 1,
+                c if q == 1 else f"{c}/{q}", log10(abs(c)) - log10(q) if c else None, (c > 0) - (c < 0),
+                e if r == 1 else f"{e}/{r}", log10(abs(e)) - log10(r) if e else None, (e > 0) - (e < 0),
+                s, log10(abs(s)) if s else None, (s > 0) - (s < 0),
             ]
+            if not include_exact:
+                del row[2::3]
+            yield row
             running += power
             below = power
-
-
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    g = math.gcd(num, den)
-    return num // g, den // g
 
 
 def _cmd_figure2(args):
@@ -353,69 +329,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("sum", parents=[fmt],
-                       help="direct power sum and its full expansion at integer m")
+    def command(name, handler, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("sum", _cmd_sum, [fmt], "direct power sum and its full expansion at integer m")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_sum)
 
-    p = sub.add_parser("approx", parents=[fmt, digits, exact],
-                       help="truncated approximants at a rational point m")
+    p = command("approx", _cmd_approx, [fmt, digits, exact],
+                "truncated approximants at a rational point m")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=_fraction_arg, required=True, metavar="RAT")
     p.add_argument("--p", type=int, default=None, help="correction terms to include")
-    p.set_defaults(handler=_cmd_approx)
 
-    p = sub.add_parser("poly", parents=[fmt], help="cleared polynomial coefficients")
+    p = command("poly", _cmd_poly, [fmt], "cleared polynomial coefficients")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--full-eml", action="store_true",
                    help="full-expansion polynomial instead of the truncated form")
-    p.set_defaults(handler=_cmd_poly)
 
-    p = sub.add_parser("candidates", parents=[fmt, budget],
-                       help="rational-root candidates for one exponent")
+    p = command("candidates", _cmd_candidates, [fmt, budget],
+                "rational-root candidates for one exponent")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_candidates)
 
-    p = sub.add_parser("signs", parents=[fmt, budget],
-                       help="exact signs at all candidates up to a k bound")
+    p = command("signs", _cmd_signs, [fmt, budget], "exact signs at all candidates up to a k bound")
     p.add_argument("--k-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_signs)
 
-    p = sub.add_parser("ratios", parents=[fmt, digits, exact],
-                       help="dominance-ratio series for one case")
+    p = command("ratios", _cmd_ratios, [fmt, digits, exact], "dominance-ratio series for one case")
     p.add_argument("--case", choices=[c.name for c in CaseKind], required=True)
     p.add_argument("--k-from", type=int, required=True)
     p.add_argument("--k-to", type=int, required=True)
     p.add_argument("--step", type=int, default=2)
-    p.set_defaults(handler=_cmd_ratios)
 
-    p = sub.add_parser("threshold", parents=[fmt, digits],
-                       help="predicted and exact sign-crossing point")
+    p = command("threshold", _cmd_threshold, [fmt, digits], "predicted and exact sign-crossing point")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_threshold)
 
-    p = sub.add_parser("search", parents=[fmt],
-                       help="brute-force scan for exact solutions")
+    p = command("search", _cmd_search, [fmt], "brute-force scan for exact solutions")
     p.add_argument("--k", type=_range_arg, required=True, metavar="LO..HI")
     p.add_argument("--m", type=_range_arg, required=True, metavar="LO..HI")
     p.add_argument("--jobs", type=int, default=1,
                    help="shard count; must be >= 1, the scan runs serially and "
                    "output never depends on it (default: 1)")
-    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("figure1", parents=[fmt, digits, exact],
-                       help="sum/approximant/difference grid over (k, m)")
+    p = command("figure1", _cmd_figure1, [fmt, digits, exact],
+                "sum/approximant/difference grid over (k, m)")
     p.add_argument("--k-from", type=int, default=2)
     p.add_argument("--k-to", type=int, default=102)
     p.add_argument("--m-from", type=int, default=3)
     p.add_argument("--m-to", type=int, default=200)
-    p.set_defaults(handler=_cmd_figure1)
 
-    p = sub.add_parser("figure2", parents=[fmt, digits, exact],
-                       help="per-case candidate values, signs and ratios over k")
+    p = command("figure2", _cmd_figure2, [fmt, digits, exact],
+                "per-case candidate values, signs and ratios over k")
     p.add_argument("--k-to", type=int, required=True)
-    p.set_defaults(handler=_cmd_figure2)
 
     return parser
 
@@ -431,12 +397,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if "trial_budget" in args and args.trial_budget < 2:
             raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
         params, columns, rows = args.handler(args)
-    except DomainError as exc:
+    except (DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetExceededError) else 2
     try:
         _emit(args, params, columns, rows)
         sys.stdout.flush()

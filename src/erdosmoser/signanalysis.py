@@ -29,7 +29,6 @@ __all__ = [
     "RatioSeries",
     "Sign",
     "SignReport",
-    "asymptotic_value",
     "dominance_ratio",
     "dominance_series",
     "sign_at",
@@ -172,21 +171,6 @@ def _strictly_less(b: RatioPoint, a: RatioPoint) -> bool:
     if a.exact is not None and b.exact is not None:
         return b.exact < a.exact
     return b.value < a.value
-
-
-def asymptotic_value(m: int, k: int) -> Fraction:
-    """The factored large-m form m^k (m/(k+1) - 3/2 + 1/(2m)), exactly.
-
-    Predicts a sign change near m = 3(k+1)/2.  The form drops the
-    Bernoulli corrections, which enter at order m^{k-1}; near the crossing
-    it is therefore a heuristic, and far from it (m >= 2(k+1), say) its
-    sign agrees with the exact polynomial.
-    """
-    if m < 3:
-        raise DomainError(f"m must be >= 3, got {m}")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    return m**k * (Fraction(m, k + 1) - Fraction(3, 2) + Fraction(1, 2 * m))
 
 
 def sign_threshold(k: int) -> tuple[Fraction, int]:

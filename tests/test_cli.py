@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import erdosmoser
+from erdosmoser import cli
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
 from erdosmoser.polyform import cleared_poly, cleared_value, eval_poly
@@ -42,6 +44,35 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+class ShortWriter(io.RawIOBase):
+    """A binary stdout that takes at most 1,000 bytes per write, as a raw
+    pipe may under PYTHONUNBUFFERED=1.  With ``gone``, every write after the
+    first raises BrokenPipeError, as when the reader leaves mid-block."""
+
+    def __init__(self, gone=False, fd=None):
+        self.taken, self.gone, self.fd = bytearray(), gone, fd
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, data):
+        if self.gone and self.taken:
+            raise BrokenPipeError
+        self.taken += bytes(data[:1000])
+        return min(len(data), 1000)
+
+
+def text_stdout(writes):
+    """A stdout whose binary layer appends each write, decoded, to ``writes``."""
+    def write(data):
+        writes.append(bytes(data).decode())
+        return len(data)
+    return SimpleNamespace(buffer=SimpleNamespace(write=write), flush=lambda: None)
 
 
 def child_env(unbuffered=False):
@@ -117,6 +148,19 @@ class TestExitCodes:
         finally:
             proc.kill()
         assert proc.returncode == 141 and err == b""
+
+    def test_reader_gone_mid_block_is_141(self, capsys, monkeypatch, tmp_path):
+        # one block (about 8 KB) of which the pipe takes 1,000 bytes before
+        # the reader leaves; dropping the rest silently would exit 0
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        raw = ShortWriter(gone=True, fd=fd)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        try:
+            code = main(["figure1", "--k-to", "4", "--m-to", "30"])
+        finally:
+            os.close(fd)
+        assert code == 141 and len(raw.taken) == 1000
+        assert capsys.readouterr().err == ""
 
 
 # A small valid argv per subcommand, and the subcommands whose handler reads
@@ -457,7 +501,7 @@ class TestOutputContract:
 
     def test_csv_written_in_blocks(self, monkeypatch):
         writes = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        monkeypatch.setattr(sys, "stdout", text_stdout(writes))
         assert main(["figure1", "--k-to", "12"]) == 0
         lines = "".join(writes).splitlines()
         assert len(writes) >= 3 and len(lines) == 1 + 11 * 198
@@ -469,7 +513,7 @@ class TestOutputContract:
 
     def test_json_written_in_blocks(self, monkeypatch):
         writes = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        monkeypatch.setattr(sys, "stdout", text_stdout(writes))
         assert main(["signs", "--k-max", "200", "--format", "json"]) == 0
         joined = "".join(writes)
         assert joined == json.dumps(json.loads(joined)) + "\n"
@@ -478,6 +522,61 @@ class TestOutputContract:
         # ", ", taking it to 64 KB
         longest = max(len(json.dumps(row)) + 2 for row in json.loads(joined)["rows"])
         assert all(64 * 1024 <= len(w) < 64 * 1024 + longest for w in writes[1:-1])
+
+    @pytest.mark.parametrize("argv", [["figure1", "--k-to", "12"],
+                                      ["signs", "--k-max", "200", "--format", "json"]],
+                             ids=["csv", "json"])
+    def test_short_writes_lose_no_byte(self, capsys, monkeypatch, argv):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        raw = ShortWriter()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        assert main(argv) == 0
+        assert bytes(raw.taken) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "--k-from", "1", "--k-to", "4", "--m-from", "2", "--m-to", "6"],  # None at (1, 3)
+        ["figure1", "--k-to", "12", "--no-exact"],  # 14 cells a row
+        ["figure1", "--k-to", "12", "--digits", "1"],
+        ["figure1", "--k-to", "12", "--digits", "50"],
+        ["candidates", "--k", "10"],  # bool columns
+        ["ratios", "--case", "EVEN_KM1", "--k-from", "4", "--k-to", "300", "--exact"],
+        ["threshold", "--k", "4"],  # a float cell from a Fraction
+    ], ids=" ".join)
+    def test_template_matches_per_cell_spelling(self, capsys, monkeypatch, argv):
+        _, templated, _ = run_cli(capsys, *argv)
+        spellings = cli._spellings  # (CSV, JSON, CSV template) per kind
+        monkeypatch.setattr(cli, "_spellings", lambda digits: {
+            kind: (*spelling[:2], None) for kind, spelling in spellings(digits).items()})
+        _, per_cell, _ = run_cli(capsys, *argv)
+        lines = zip(templated.splitlines(), per_cell.splitlines(), strict=True)
+        assert [pair for pair in lines if pair[0] != pair[1]] == []
+
+    def test_figure1_leaves_no_rows_parked(self):
+        # CPython 3.11 never reuses freed 20-item tuples, so spelling each
+        # figure1 row through one would leave about 0.4 MB behind
+        code = textwrap.dedent("""
+            import io, sys, tracemalloc
+            from erdosmoser.cli import main
+
+            class Sink(io.RawIOBase):
+                def writable(self):
+                    return True
+
+                def write(self, data):
+                    return len(data)
+
+            sys.stdout = io.TextIOWrapper(Sink(), write_through=True)
+            main(["figure1", "--k-to", "2", "--m-to", "3"])  # lazy imports
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["figure1"]) == 0
+            sys.stderr.write(str(tracemalloc.get_traced_memory()[0] - before))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) < 200 * 1024
 
     def test_digits_flag_controls_floats(self, capsys):
         _, wide, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "12")

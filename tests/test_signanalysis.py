@@ -5,12 +5,10 @@ import pytest
 
 from erdosmoser.candidates import CaseKind
 from erdosmoser.errors import DomainError
-from erdosmoser.polyform import eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
     FULL_SET,
     Sign,
-    asymptotic_value,
     dominance_ratio,
     dominance_series,
     sign_at,
@@ -219,35 +217,6 @@ class TestDominanceSeries:
     def test_empty_range_rejected(self):
         with pytest.raises(DomainError):
             dominance_series(CaseKind.ODD_KP1, 9, 3)
-
-
-class TestAsymptoticValue:
-    def test_hand_value(self):
-        assert asymptotic_value(100, 4) == 1850500000
-
-    def test_cancellation_point(self):
-        # at m = 3(k+1)/2 the first two factors cancel, leaving m^k/(2m)
-        assert asymptotic_value(6, 3) == Fraction(6**3, 12)
-        assert asymptotic_value(6, 3) > 0
-
-    def test_sign_flip_near_threshold(self):
-        assert asymptotic_value(7, 4) < 0
-        assert asymptotic_value(8, 4) > 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            asymptotic_value(2, 4)
-        with pytest.raises(DomainError):
-            asymptotic_value(10, 1)
-
-    def test_sign_agrees_with_exact_far_from_crossing(self):
-        for k in range(2, 31):
-            poly = full_eml_poly(k).poly
-            for m in range(2 * (k + 1), 4 * (k + 1), 3):
-                exact = eval_poly(poly, m)
-                approx = asymptotic_value(m, k)
-                assert exact != 0 and approx != 0
-                assert (exact > 0) == (approx > 0), (k, m)
 
 
 class TestSignThreshold:
