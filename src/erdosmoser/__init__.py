@@ -7,26 +7,35 @@ polynomials whose rational roots bound possible solutions, sign and
 dominance-ratio analyses at the candidate roots, and a brute-force
 solution search.  The :mod:`erdosmoser.cli` module serializes all of it as
 CSV/JSON datasets.
-"""
 
-from .approx import *
-from .arith import *
-from .candidates import *
-from .errors import *
-from .polyform import *
-from .powersum import *
-from .search import *
-from .signanalysis import *
+The package exports each library module's ``__all__`` and imports a
+module only when one of its names is first looked up (PEP 562), so a CLI
+run loads just the modules its subcommand uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = (
-    approx.__all__
-    + arith.__all__
-    + candidates.__all__
-    + errors.__all__
-    + polyform.__all__
-    + powersum.__all__
-    + search.__all__
-    + signanalysis.__all__
-)
+_MODULES = ("approx", "arith", "candidates", "errors", "polyform", "powersum", "search", "signanalysis")
+
+
+def _module(name: str):
+    from importlib import import_module
+    return import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _module(name)
+    if name == "__all__":
+        value = [public for module in _MODULES for public in _module(module).__all__]
+    else:
+        owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

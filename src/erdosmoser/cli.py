@@ -11,6 +11,12 @@ significant digits) or a bool (true/false); None is an absent cell, empty
 in CSV and null in JSON.  Both formats go out in blocks of about 64 KB as
 rows are computed, each written until stdout has taken every byte; JSON is
 still one object, byte for byte what ``json.dumps`` gives for it.
+figure1's rows fall into independent groups, one per half of each k's m
+range; where the process may run on 2 or more CPUs and ``os.fork``
+exists, a forked worker spells every second group while this process
+spells the rest and does all the writing.  Its bytes, blocks and exit
+codes are the same either way.  Each handler imports the library modules
+it runs, so a run loads only what its subcommand needs.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -25,18 +31,14 @@ import argparse
 import math
 import os
 import sys
+import threading
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import __version__
-from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, candidate_roots
-from .errors import BudgetExceededError, DomainError
-from .polyform import cleared_poly, full_eml_poly
-from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
-from .search import find_solutions
-from .signanalysis import Sign, dominance_ratio, dominance_series, sign_at, sign_summary, sign_threshold
+from .errors import BudgetExceededError, DomainError, InternalConsistencyError
 
 SCHEMA_VERSION = "1"
 
@@ -109,7 +111,10 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     taken every byte.  CSV is the header and one line per row, each one
     ``%`` on a template of the column kinds (cell by cell for a None cell
     or a bool column), joined by newlines; JSON is the envelope and one
-    object per row, joined by ", ", inside the "rows" list."""
+    object per row, joined by ", ", inside the "rows" list.  ``rows`` is
+    an iterable of rows, or a dict of independent row groups, which
+    ``_spelled`` may spell in two processes; either way the block loop
+    reads one iterator of spelled rows, so the blocks are the same."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
@@ -146,17 +151,115 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         while data:  # once the reader has gone, this raises BrokenPipeError
             data = data[out.write(data):]
     sys.stdout.flush()  # text written before must come first
-    size = 0
-    for row in rows:
-        if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
-            write(text + sep.join(block) + sep)
-            text, block, size = "", [], 0
-        block.append(line(row))
-        size += len(block[-1]) + len(sep)
-    write(text + sep.join(block) + end)
+    lines = _spelled(rows, line, args.command)
+    try:
+        size = 0
+        for spelled in lines:
+            if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
+                write(text + sep.join(block) + sep)
+                text, block, size = "", [], 0
+            block.append(spelled)
+            size += len(spelled) + len(sep)
+        write(text + sep.join(block) + end)
+    finally:
+        lines.close()  # reaps a row worker even when a write failed
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spelled(rows, line, command: str):
+    """The spelled rows, in order.  A dict of row groups, on a platform
+    with ``os.fork`` where this process may run on 2 or more CPUs and runs
+    one thread (a fork copies no other thread, nor frees the locks they
+    hold), is spelled in two processes: a forked row worker spells the
+    groups at odd positions while this process spells the others.  The
+    worker builds each whole group, then sends it through a pipe in
+    length-prefixed frames of about 64 KB, each of whole rows joined by
+    newlines (no spelled row holds one), and an empty frame ends the
+    group.  The worker is reaped before this generator ends or is closed;
+    on any exception it is killed first."""
+    groups = list(rows.items()) if isinstance(rows, dict) else [(None, rows)]
+    if len(groups) < 2 or not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+        for _, group in groups:
+            yield from map(line, group)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _row_worker([group for _, group in groups[1::2]], line, write_fd)
+    os.close(write_fd)
+    pipe, status = open(read_fd, "rb"), None
+    try:
+        for i, (label, group) in enumerate(groups):
+            if i % 2 == 0:
+                yield from map(line, group)
+                continue
+            while True:
+                head = pipe.read(4)
+                size = int.from_bytes(head, "big")
+                frame = pipe.read(size)
+                if len(head) < 4 or len(frame) < size:
+                    status = os.waitpid(pid, 0)[1]
+                    raise InternalConsistencyError(
+                        f"{command} row worker ended with exit status "
+                        f"{os.waitstatus_to_exitcode(status)} before sending group {label}")
+                if not frame:
+                    break
+                yield from frame.decode().split("\n")
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            raise InternalConsistencyError(
+                f"{command} row worker ended with exit status {os.waitstatus_to_exitcode(status)}")
+    finally:
+        if status is None:
+            # killed before the pipe closes: a worker that met the closed
+            # pipe would print a traceback
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        pipe.close()
+
+
+def _row_worker(groups: list, line, write_fd: int):
+    """The forked side of ``_spelled``: never touches stdout, prints its
+    traceback to stderr on failure and always leaves through ``os._exit``,
+    so no exception unwinds into the stack it shares with the parent."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            def send(texts):
+                data = "\n".join(texts).encode()
+                pipe.write(len(data).to_bytes(4, "big") + data)
+
+            for group in groups:
+                frame, size = [], 0
+                for spelled in [line(row) for row in group]:  # the whole group first
+                    frame.append(spelled)
+                    size += len(spelled) + 1
+                    if size >= _BLOCK:
+                        send(frame)
+                        frame, size = [], 0
+                if frame:
+                    send(frame)
+                send([])
+                pipe.flush()
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def _cmd_sum(args):
+    from .powersum import PowerSumQuery, sum_direct, sum_eml_exact
     if args.m < 2:
         raise DomainError(f"--m must be >= 2, got {args.m}")
     query = PowerSumQuery(args.m - 1, args.k)
@@ -168,6 +271,7 @@ def _cmd_sum(args):
 
 
 def _cmd_approx(args):
+    from .approx import RealArg, correction_ratio, first_correction, sum_eml_leading, sum_eml_truncated
     arg = RealArg(args.m)
     p = args.p if args.p is not None else args.k // 2
     values = {
@@ -188,6 +292,7 @@ def _cmd_approx(args):
 
 
 def _cmd_poly(args):
+    from .polyform import cleared_poly, full_eml_poly
     cp = full_eml_poly(args.k) if args.full_eml else cleared_poly(args.k)
     params = {"k": args.k, "full_eml": args.full_eml, "degree": cp.poly.degree,
               "multiplier": str(cp.multiplier), "leading": str(cp.poly.coeffs[-1])}
@@ -206,6 +311,7 @@ def _cmd_candidates(args):
 
 
 def _cmd_signs(args):
+    from .signanalysis import Sign, sign_summary
     reports = sign_summary(args.k_max, DivisorBudget(args.trial_budget))
     zeros = sum(r.sign is Sign.ZERO for r in reports)
     if zeros:
@@ -218,6 +324,7 @@ def _cmd_signs(args):
 
 
 def _cmd_ratios(args):
+    from .signanalysis import dominance_series
     case = CaseKind[args.case]
     series = dominance_series(case, args.k_from, args.k_to, args.step)
     columns = [("case", TEXT), ("k", INT), ("ratio", FLOAT)]
@@ -236,6 +343,7 @@ def _cmd_ratios(args):
 
 
 def _cmd_threshold(args):
+    from .signanalysis import sign_threshold
     predicted, crossing = sign_threshold(args.k)
     columns = [("k", INT), ("predicted", TEXT), ("predicted_float", FLOAT), ("crossing", INT)]
     row = (args.k, predicted, float(predicted), crossing)
@@ -243,6 +351,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_search(args):
+    from .search import find_solutions
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     params = {"k_from": args.k[0], "k_to": args.k[1], "m_from": args.m[0], "m_to": args.m[1]}
@@ -257,44 +366,48 @@ def _cmd_figure1(args):
         raise DomainError(f"invalid m range [{args.m_from}, {args.m_to}]")
     columns = [("k", INT), ("m", INT)] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
     params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
-    return params, columns, _figure1_rows(ks, ms, args.exact)
+    half = len(ms) // 2
+    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": _figure1_rows(k, part, args.exact)
+              for k in ks for part in (ms[:half], ms[half:])}
+    return params, columns, groups
 
 
-def _figure1_rows(ks: range, ms: range, include_exact: bool):
-    """Lazily, one row per (k, m), every cell from m^k and (m-1)^k, carried
-    from the previous m.  With d = 2(k+1), A = (2(m-1)+k+1)(m-1)^k + k - 1
-    is d S_R(m-1,k), c = A - d m^k, and the corrected difference is
+def _figure1_rows(k: int, ms: range, include_exact: bool):
+    """Lazily, one row per m, every cell from m^k and (m-1)^k, carried from
+    the previous m.  With d = 2(k+1), A = (2(m-1)+k+1)(m-1)^k + k - 1 is
+    d S_R(m-1,k), c = A - d m^k, and the corrected difference is
     (12c + dk((m-1)^{k-1} - 1))/(12d).  The tests rebuild every cell through
     the Fraction forms ``approx.sum_eml_leading`` and ``first_correction``."""
+    from .powersum import PowerSumQuery, sum_direct
     log10, gcd = math.log10, math.gcd
-    for k in ks:
-        d = 2 * (k + 1)
-        running = sum_direct(PowerSumQuery(ms.start - 1, k))
-        below = (ms.start - 1) ** k
-        for m in ms:
-            power = m**k
-            a = (2 * m + k - 1) * below + k - 1
-            c = a - d * power
-            e = 12 * c + d * k * (below // (m - 1) - 1)
-            g, h = gcd(a, d), gcd(e, 12 * d)  # gcd(c, d) = gcd(a, d)
-            a, c, q, e, r, s = a // g, c // g, d // g, e // h, 12 * d // h, running - power
-            # S, S_R and m^k are positive
-            row = [
-                k, m, running, log10(running), 1,
-                a if q == 1 else f"{a}/{q}", log10(a) - log10(q), 1,
-                power, log10(power), 1,
-                c if q == 1 else f"{c}/{q}", log10(abs(c)) - log10(q) if c else None, (c > 0) - (c < 0),
-                e if r == 1 else f"{e}/{r}", log10(abs(e)) - log10(r) if e else None, (e > 0) - (e < 0),
-                s, log10(abs(s)) if s else None, (s > 0) - (s < 0),
-            ]
-            if not include_exact:
-                del row[2::3]
-            yield row
-            running += power
-            below = power
+    d = 2 * (k + 1)
+    running = sum_direct(PowerSumQuery(ms.start - 1, k))
+    below = (ms.start - 1) ** k
+    for m in ms:
+        power = m**k
+        a = (2 * m + k - 1) * below + k - 1
+        c = a - d * power
+        e = 12 * c + d * k * (below // (m - 1) - 1)
+        g, h = gcd(a, d), gcd(e, 12 * d)  # gcd(c, d) = gcd(a, d)
+        a, c, q, e, r, s = a // g, c // g, d // g, e // h, 12 * d // h, running - power
+        # S, S_R and m^k are positive
+        row = [
+            k, m, running, log10(running), 1,
+            a if q == 1 else f"{a}/{q}", log10(a) - log10(q), 1,
+            power, log10(power), 1,
+            c if q == 1 else f"{c}/{q}", log10(abs(c)) - log10(q) if c else None, (c > 0) - (c < 0),
+            e if r == 1 else f"{e}/{r}", log10(abs(e)) - log10(r) if e else None, (e > 0) - (e < 0),
+            s, log10(abs(s)) if s else None, (s > 0) - (s < 0),
+        ]
+        if not include_exact:
+            del row[2::3]
+        yield row
+        running += power
+        below = power
 
 
 def _cmd_figure2(args):
+    from .signanalysis import dominance_ratio, sign_at
     if args.k_to < 4:
         raise DomainError(f"--k-to must be >= 4, got {args.k_to}")
     rows = []

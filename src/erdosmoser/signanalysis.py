@@ -112,16 +112,18 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
     """Sign reports for every named candidate and every integer candidate
     enumerated within ``budget``, k <= k_max, in (k, case, m0) order.
 
-    ZERO entries are data, not errors; callers decide how loudly to react.
+    Every named candidate is also a divisor candidate, so each distinct
+    (k, m0) is evaluated once and its value shared by its reports.  ZERO
+    entries are data, not errors; callers decide how loudly to react.
     """
     if k_max < 3:
         raise DomainError(f"k_max must be >= 3, got {k_max}")
     reports = []
     for k in range(2, k_max + 1):
-        for case, m0 in highlighted_candidates(k):
-            reports.append(sign_at(k, m0, case))
-        for m0 in candidate_roots(k, budget).integer_candidates_ge3:
-            reports.append(sign_at(k, m0, FULL_SET))
+        points = highlighted_candidates(k)
+        points += [(FULL_SET, m0) for m0 in candidate_roots(k, budget).integer_candidates_ge3]
+        values = {m0: cleared_value(k, m0) for m0 in {m0 for _, m0 in points}}
+        reports += [SignReport(k, m0, case, values[m0], Sign.of(values[m0])) for case, m0 in points]
     return reports
 
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ import erdosmoser
 from erdosmoser import cli
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
+from erdosmoser.errors import InternalConsistencyError
 from erdosmoser.polyform import cleared_poly, cleared_value, eval_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 
@@ -103,6 +105,18 @@ def test_import_leaves_heavy_modules_out():
     new = set(out.split())
     assert "erdosmoser.cli" in new
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+
+def test_import_loads_only_what_the_parser_needs():
+    # each handler imports the library modules it runs; the parser needs
+    # arith (the default budget), candidates (the case names) and errors
+    code = "import sys, erdosmoser.cli; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded = set(out.split())
+    assert "erdosmoser.cli" in loaded
+    assert not loaded & {f"erdosmoser.{name}" for name in
+                         ("approx", "polyform", "powersum", "search", "signanalysis")}
 
 
 class TestExitCodes:
@@ -459,6 +473,104 @@ class TestFigure1Oracle:
             assert row == expected, (k, m)
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestFigure1Worker:
+    """On 2 or more CPUs a forked worker spells every second half of each
+    k's m range; the bytes must not show it."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The count of os.fork calls made in this process."""
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--k-to", "12"],
+        ["--k-to", "12", "--no-exact"],
+        ["--k-to", "12", "--digits", "17"],
+        ["--k-to", "12", "--format", "json"],
+        ["--k-from", "7", "--k-to", "7"],
+        ["--m-from", "2", "--m-to", "2"],  # every first half is empty
+        ["--k-from", "1", "--k-to", "3", "--m-from", "2", "--m-to", "9"],  # None cells at (1, 3)
+    ], ids=" ".join)
+    def test_forked_matches_serial(self, capsys, monkeypatch, forks, argv):
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            outputs.append(run_cli(capsys, "figure1", *argv))
+        assert len(forks) == 1  # the serial run forks nothing
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
+        assert no_child_left()
+
+    def test_no_fork_beside_another_thread(self, capsys, monkeypatch, forks):
+        # a forked child would hold copies of that thread's locks, never released
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            code, out, _ = run_cli(capsys, "figure1", "--k-to", "4")
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 198
+        assert forks == [] and not thread.is_alive()
+
+    def test_worker_failure_names_the_group(self, monkeypatch, forks):
+        rows = cli._figure1_rows
+
+        def failing(k, ms, include_exact):
+            for row in rows(k, ms, include_exact):
+                if (k, row[1]) == (3, 150):  # in the worker's second group
+                    raise RuntimeError("planted failure")
+                yield row
+
+        monkeypatch.setattr(cli, "_figure1_rows", failing)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(sys, "stdout", text_stdout([]))
+        message = r"figure1 row worker ended with exit status 1 before sending group \(k=3, m=102\.\.200\)"
+        with pytest.raises(InternalConsistencyError, match=message):
+            main(["figure1", "--k-to", "4"])
+        assert len(forks) == 1 and no_child_left()
+
+    def test_reader_gone_mid_table_is_141(self, capfd, monkeypatch, forks, tmp_path):
+        # the reader leaves after 1,000 bytes while the worker still has
+        # groups to send; it must be killed and reaped, and say nothing
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        raw = ShortWriter(gone=True, fd=fd)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        try:
+            code = main(["figure1", "--k-to", "40"])
+        finally:
+            os.close(fd)
+        assert code == 141 and len(raw.taken) == 1000 and len(forks) == 1
+        assert no_child_left()
+        assert capfd.readouterr().err == ""
+
+    def test_emit_reaps_the_worker_before_it_raises(self, monkeypatch, forks):
+        # the traceback keeps _emit's frame, and so its row iterator, alive:
+        # garbage collection cannot be what reaps the worker
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ShortWriter(gone=True), write_through=True))
+        args = cli.build_parser().parse_args(["figure1", "--k-to", "40"])
+        with pytest.raises(BrokenPipeError) as caught:
+            cli._emit(args, *args.handler(args))
+        assert len(forks) == 1 and no_child_left()
+        assert caught.traceback  # still held here
+
+
 class TestFigure2:
     def test_reference_rows(self, capsys):
         _, out, _ = run_cli(capsys, "figure2", "--k-to", "8", "--format", "json")
@@ -499,7 +611,9 @@ class TestOutputContract:
         _, out, _ = run_cli(capsys, "sum", "--k", "2", "--m", "4")
         assert "\r" not in out
 
-    def test_csv_written_in_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+    def test_csv_written_in_blocks(self, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         writes = []
         monkeypatch.setattr(sys, "stdout", text_stdout(writes))
         assert main(["figure1", "--k-to", "12"]) == 0

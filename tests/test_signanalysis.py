@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from erdosmoser.candidates import CaseKind
+from erdosmoser import signanalysis
+from erdosmoser.candidates import CaseKind, candidate_roots, highlighted_candidates
 from erdosmoser.errors import DomainError
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
@@ -53,6 +55,26 @@ class TestSignSummary:
     def test_full_set_entries_present(self):
         rows = [r for r in sign_summary(10) if r.k == 10 and r.case is FULL_SET]
         assert [r.m0 for r in rows] == [3, 6, 9, 18]
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # every named candidate is also a divisor candidate, so the named
+        # points would otherwise be evaluated twice
+        calls = Counter()
+        cleared_value = signanalysis.cleared_value
+
+        def counted(k, m0):
+            calls[k, m0] += 1
+            return cleared_value(k, m0)
+
+        monkeypatch.setattr(signanalysis, "cleared_value", counted)
+        reports = sign_summary(60)
+        monkeypatch.undo()
+        assert set(calls.values()) == {1}
+        assert set(calls) == {(r.k, r.m0) for r in reports}
+        oracle = [sign_at(k, m0, case) for k in range(2, 61)
+                  for case, m0 in highlighted_candidates(k)
+                  + [(FULL_SET, m0) for m0 in candidate_roots(k).integer_candidates_ge3]]
+        assert reports == oracle
 
     def test_canonical_order(self):
         # generation order is all that keeps it; nothing sorts the reports
