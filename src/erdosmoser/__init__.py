@@ -10,7 +10,8 @@ CSV/JSON datasets.
 
 The package exports each library module's ``__all__`` and imports a
 module only when one of its names is first looked up (PEP 562), so a CLI
-run loads just the modules its subcommand uses.
+run loads just the modules its subcommand uses.  A submodule name such as
+``cli`` resolves to the submodule alone.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +25,7 @@ def _module(name: str):
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _MODULES or name == "cli":  # a submodule, not a name in some __all__
         return _module(name)
     if name == "__all__":
         value = [public for module in _MODULES for public in _module(module).__all__]

@@ -28,6 +28,7 @@ __all__ = [
     "Source",
     "candidate_roots",
     "highlighted_candidates",
+    "integer_candidates",
 ]
 
 
@@ -102,6 +103,16 @@ class CandidateSet(NamedTuple):
     factored_root_zero: bool
 
 
+def _constant_term(k: int) -> tuple[int, Source]:
+    """The constant term the divisibility constraints are read from, with
+    its polynomial: 2(k-1) for even k, (k+1)(k-2) for odd k."""
+    if k < 2:
+        raise DomainError(f"candidate enumeration requires k >= 2, got {k}")
+    if k % 2 == 0:
+        return 2 * (k - 1), Source.CLEARED
+    return (k + 1) * (k - 2), Source.QUOTIENT
+
+
 def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> CandidateSet:
     """Every positive p/q allowed by the divisibility constraints.
 
@@ -111,21 +122,18 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
     not only the named values: exact evaluation over all of it is cheap
     and strictly stronger than spot checks.
     """
-    if k < 2:
-        raise DomainError(f"candidate enumeration requires k >= 2, got {k}")
-    if k % 2 == 0:
-        constant = 2 * (k - 1)
-        source = Source.CLEARED
-        zero_root = False
-    else:
-        constant = (k + 1) * (k - 2)
-        source = Source.QUOTIENT
-        zero_root = True
+    constant, source = _constant_term(k)
     divs = divisors(constant, budget)
     cands = tuple(Fraction(e, 2) for e in sorted({*divs, *(2 * d for d in divs)}))
     # every integer d/2 is itself a divisor, so the integers are the divisors
     ints = tuple(d for d in divs if d >= 3)
-    return CandidateSet(k, source, cands, ints, zero_root)
+    return CandidateSet(k, source, cands, ints, source is Source.QUOTIENT)
+
+
+def integer_candidates(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """``candidate_roots(k, budget).integer_candidates_ge3`` without
+    building the Fraction set: the divisors >= 3 of the constant term."""
+    return tuple(d for d in divisors(_constant_term(k)[0], budget) if d >= 3)
 
 
 def highlighted_candidates(k: int) -> list[tuple[CaseKind, int]]:

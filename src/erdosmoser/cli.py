@@ -15,8 +15,11 @@ figure1's rows fall into independent groups, one per half of each k's m
 range; where the process may run on 2 or more CPUs and ``os.fork``
 exists, a forked worker spells every second group while this process
 spells the rest and does all the writing.  Its bytes, blocks and exit
-codes are the same either way.  Each handler imports the library modules
-it runs, so a run loads only what its subcommand needs.
+codes are the same either way.  signs and figure2 compute their rows one
+k at a time as they are written; signs factors every k before its first
+row, so a budget overrun still leaves stdout empty.  Each handler imports
+the library modules it runs, so a run loads only what its subcommand
+needs.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -96,30 +99,36 @@ def _triplet_columns(names, include_exact: bool) -> list[tuple[str, str]]:
 
 
 def _spellings(digits: Optional[int]) -> dict:
-    """(CSV, JSON, CSV template) spelling of a present cell, per kind."""
+    """(CSV, JSON, CSV template, JSON template) spelling of a present cell,
+    per kind; a kind without a template is spelled cell by cell."""
     float_text = f"%.{digits}g"
     return {
-        INT: (str, int, "%d"),
-        TEXT: (str, str, "%s"),
-        FLOAT: (float_text.__mod__, lambda v: float(float_text % v), float_text),
-        BOOL: (lambda v: "true" if v else "false", bool, None),
+        INT: (str, int, "%d", "%d"),
+        TEXT: (str, str, "%s", '"%s"'),
+        FLOAT: (float_text.__mod__, lambda v: float(float_text % v), float_text, None),
+        BOOL: (lambda v: "true" if v else "false", bool, None, None),
     }
 
 
 def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     """Write the table in blocks as its rows arrive, each until stdout has
-    taken every byte.  CSV is the header and one line per row, each one
-    ``%`` on a template of the column kinds (cell by cell for a None cell
-    or a bool column), joined by newlines; JSON is the envelope and one
-    object per row, joined by ", ", inside the "rows" list.  ``rows`` is
-    an iterable of rows, or a dict of independent row groups, which
-    ``_spelled`` may spell in two processes; either way the block loop
-    reads one iterator of spelled rows, so the blocks are the same."""
+    taken every byte.  CSV is the header and one line per row, joined by
+    newlines; JSON is the envelope and one object per row, joined by ", ",
+    inside the "rows" list.  A row is one ``%`` on a template of the column
+    kinds, or spelled cell by cell if a cell is None or a column's kind has
+    no template (bool in CSV; float and bool in JSON, whose objects are
+    then ``json.dumps``).  The JSON template quotes TEXT cells unescaped:
+    TEXT spellings are ASCII digits, '-', '/' and [A-Z0-9_], so they never
+    need JSON escaping.  ``rows`` is an iterable of rows, or a dict of
+    independent row groups, which ``_spelled`` may spell in two processes;
+    either way the block loop reads one iterator of spelled rows, so the
+    blocks are the same."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
     kinds = _spellings(digits)
     spell = [kinds[kind][json_out] for _, kind in columns]
+    pieces = [kinds[kind][2 + json_out] for _, kind in columns]
     if json_out:
         import json  # CSV runs never pay for this import
         envelope = json.dumps(
@@ -127,21 +136,26 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         )
         # opened at the empty "rows" list, closed by its "]}"
         text, block, sep, end = envelope[:-2], [], ", ", envelope[-2:] + "\n"
+        template = None if None in pieces else "{%s}" % ", ".join(
+            f"{json.dumps(name)}: {piece}" for name, piece in zip(names, pieces))
 
-        def line(row):
+        def per_cell(row):
             cells = zip(names, spell, row, strict=True)
             return json.dumps({n: None if v is None else f(v) for n, f, v in cells})
     else:
         text, block, sep, end = "", [",".join(names)], "\n", "\n"
-        pieces = [kinds[kind][2] for _, kind in columns]
-        # %.0s eats a trailing None: CPython 3.11 never reuses the freed
-        # 20-item tuples that figure1's rows would make
-        template = None if None in pieces else ",".join(pieces) + "%.0s"
+        template = None if None in pieces else ",".join(pieces)
 
-        def line(row):
-            if template and None not in row:
-                return template % (*row, None)
+        def per_cell(row):
             return ",".join(["" if v is None else f(v) for f, v in zip(spell, row, strict=True)])
+    # %.0s eats a trailing None: CPython 3.11 never reuses the freed
+    # 20-item tuples that figure1's rows would make
+    template = template and template + "%.0s"
+
+    def line(row):
+        if template and None not in row:
+            return template % (*row, None)
+        return per_cell(row)
     out = getattr(sys.stdout, "buffer", None)  # a text-only sink has none
 
     def write(part):
@@ -311,16 +325,27 @@ def _cmd_candidates(args):
 
 
 def _cmd_signs(args):
-    from .signanalysis import Sign, sign_summary
-    reports = sign_summary(args.k_max, DivisorBudget(args.trial_budget))
-    zeros = sum(r.sign is Sign.ZERO for r in reports)
-    if zeros:
-        print(f"warning: {zeros} candidate(s) evaluate to exactly zero, "
-              "i.e. the cleared polynomial has a rational root", file=sys.stderr)
+    """Factors every k up front, so a domain error or a budget overrun
+    exits before any output, then evaluates and yields one k at a time,
+    keeping no list of all reports.  The warning about ZERO rows goes to
+    stderr once the last row has been produced; when the reader leaves
+    early (``| head``, exit 141), rows never reached are never evaluated,
+    so they are not counted and no warning is printed for them."""
+    from .signanalysis import Sign, sign_candidates, sign_reports
+    candidates = sign_candidates(args.k_max, DivisorBudget(args.trial_budget))
+
+    def rows():
+        zeros = 0
+        for k, integers in candidates.items():
+            for r in sign_reports(k, integers):
+                zeros += r.sign is Sign.ZERO
+                yield (r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
+        if zeros:
+            print(f"warning: {zeros} candidate(s) evaluate to exactly zero, "
+                  "i.e. the cleared polynomial has a rational root", file=sys.stderr)
+
     columns = [("k", INT), ("case", TEXT), ("m0", INT), ("value", TEXT), ("sign", TEXT)]
-    rows = ((r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
-            for r in reports)
-    return {"k_max": args.k_max}, columns, rows
+    return {"k_max": args.k_max}, columns, rows()
 
 
 def _cmd_ratios(args):
@@ -410,19 +435,22 @@ def _cmd_figure2(args):
     from .signanalysis import dominance_ratio, sign_at
     if args.k_to < 4:
         raise DomainError(f"--k-to must be >= 4, got {args.k_to}")
-    rows = []
-    for case in CaseKind:
-        for k in range(case.min_k, args.k_to + 1, 2):
-            report = sign_at(k, case.candidate(k), case)
-            point = dominance_ratio(k, case)
-            row = (case.name, k, report.m0, *_triplet(report.value, 1, args.exact))
-            rows.append(row + (report.sign.name, point.value, point.limit))
+
+    def rows():
+        for case in CaseKind:
+            for k in range(case.min_k, args.k_to + 1, 2):
+                report = sign_at(k, case.candidate(k), case)
+                point = dominance_ratio(k, case)
+                row = (case.name, k, report.m0, *_triplet(report.value, 1, args.exact))
+                yield row + (report.sign.name, point.value, point.limit)
+
     columns = (
         [("case", TEXT), ("k", INT), ("m0", INT)]
         + _triplet_columns(["value"], args.exact)
         + [("sign", TEXT), ("ratio", FLOAT), ("limit", FLOAT)]
     )
-    return {"k_to": args.k_to}, columns, rows
+    return {"k_to": args.k_to}, columns, rows()
+
 
 def build_parser() -> argparse.ArgumentParser:
     fmt, digits, exact, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arith import DEFAULT_BUDGET, DivisorBudget
-from .candidates import CaseKind, candidate_roots, highlighted_candidates
+from .candidates import CaseKind, highlighted_candidates, integer_candidates
 from .errors import DomainError, InternalConsistencyError
 from .polyform import cleared_value
 from .search import first_nonnegative
@@ -32,6 +32,8 @@ __all__ = [
     "dominance_ratio",
     "dominance_series",
     "sign_at",
+    "sign_candidates",
+    "sign_reports",
     "sign_summary",
     "sign_threshold",
 ]
@@ -108,23 +110,36 @@ def sign_at(k: int, m0: int, case: Optional[CaseKind] = FULL_SET) -> SignReport:
     return SignReport(k, m0, case, value, Sign.of(value))
 
 
-def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[SignReport]:
-    """Sign reports for every named candidate and every integer candidate
-    enumerated within ``budget``, k <= k_max, in (k, case, m0) order.
-
-    Every named candidate is also a divisor candidate, so each distinct
-    (k, m0) is evaluated once and its value shared by its reports.  ZERO
-    entries are data, not errors; callers decide how loudly to react.
-    """
+def sign_candidates(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
+    """The integer candidates >= 3 of every k in 2..k_max, enumerated
+    within ``budget``: the part of :func:`sign_summary` that can fail, done
+    before any value is computed."""
     if k_max < 3:
         raise DomainError(f"k_max must be >= 3, got {k_max}")
-    reports = []
-    for k in range(2, k_max + 1):
-        points = highlighted_candidates(k)
-        points += [(FULL_SET, m0) for m0 in candidate_roots(k, budget).integer_candidates_ge3]
-        values = {m0: cleared_value(k, m0) for m0 in {m0 for _, m0 in points}}
-        reports += [SignReport(k, m0, case, values[m0], Sign.of(values[m0])) for case, m0 in points]
-    return reports
+    return {k: integer_candidates(k, budget) for k in range(2, k_max + 1)}
+
+
+def sign_reports(k: int, integers: tuple[int, ...]) -> list[SignReport]:
+    """Sign reports of one k: its named candidates, then ``integers`` (its
+    integer candidates from :func:`sign_candidates`) as FULL_SET points.
+
+    Every named candidate is also an integer candidate, so each distinct
+    m0 is evaluated once and its value shared by its reports.
+    """
+    points = highlighted_candidates(k) + [(FULL_SET, m0) for m0 in integers]
+    values = {m0: cleared_value(k, m0) for m0 in {m0 for _, m0 in points}}
+    return [SignReport(k, m0, case, values[m0], Sign.of(values[m0])) for case, m0 in points]
+
+
+def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[SignReport]:
+    """Sign reports for every named candidate and every integer candidate
+    enumerated within ``budget``, k <= k_max, in (k, case, m0) order: the
+    :func:`sign_reports` of each k of :func:`sign_candidates`, which a
+    caller can also take one k at a time.  ZERO entries are data, not
+    errors; callers decide how loudly to react.
+    """
+    candidates = sign_candidates(k_max, budget)
+    return [report for k, integers in candidates.items() for report in sign_reports(k, integers)]
 
 
 def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:

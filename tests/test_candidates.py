@@ -10,8 +10,10 @@ from erdosmoser.candidates import (
     Source,
     candidate_roots,
     highlighted_candidates,
+    integer_candidates,
 )
-from erdosmoser.errors import DomainError
+from erdosmoser.arith import DivisorBudget
+from erdosmoser.errors import BudgetExceededError, DomainError
 from erdosmoser.polyform import cleared_poly, eval_poly, quotient_poly
 
 
@@ -130,6 +132,16 @@ class TestCandidateRoots:
             cs = candidate_roots(k)
             expected = tuple(int(c) for c in cs.all_candidates if c.denominator == 1 and c >= 3)
             assert cs.integer_candidates_ge3 == expected, k
+
+    def test_integer_candidates_without_fractions(self):
+        for k in range(2, 401):
+            assert integer_candidates(k) == candidate_roots(k).integer_candidates_ge3, k
+        with pytest.raises(DomainError):
+            integer_candidates(1)
+        # (k+1)(k-2) = 154 = 2 * 7 * 11; budget 2 leaves cofactor 77 either way
+        for enumerate_ in (candidate_roots, integer_candidates):
+            with pytest.raises(BudgetExceededError, match="cofactor 77 "):
+                enumerate_(13, DivisorBudget(2))
 
     def test_no_candidate_at_or_above_three_is_a_root(self):
         # evaluating over the complete candidate set: nothing with value

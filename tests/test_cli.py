@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import erdosmoser
-from erdosmoser import cli
+from erdosmoser import cli, signanalysis
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
 from erdosmoser.errors import InternalConsistencyError
@@ -95,6 +95,34 @@ def cli_process(*argv, unbuffered=False, **kwargs):
                             env=child_env(unbuffered), **kwargs)
 
 
+def traced_growth(warm_argv, argv, peak=False):
+    """Bytes traced by tracemalloc in a fresh process after ``main(argv)``
+    writes into a sink, over what was traced before it (its peak with
+    ``peak``); ``main(warm_argv)`` runs first, for the lazy imports."""
+    code = textwrap.dedent(f"""
+        import io, sys, tracemalloc
+        from erdosmoser.cli import main
+
+        class Sink(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                return len(data)
+
+        sys.stdout = io.TextIOWrapper(Sink(), write_through=True)
+        main({warm_argv!r})
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main({argv!r}) == 0
+        sys.stderr.write(str(tracemalloc.get_traced_memory()[{int(peak)}] - before))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr)
+
+
 def test_import_leaves_heavy_modules_out():
     # dataclasses drags in inspect, ast, dis and tokenize; json is needed
     # only for --format json.  Every CLI run would pay for them at start-up.
@@ -109,14 +137,17 @@ def test_import_leaves_heavy_modules_out():
 
 def test_import_loads_only_what_the_parser_needs():
     # each handler imports the library modules it runs; the parser needs
-    # arith (the default budget), candidates (the case names) and errors
-    code = "import sys, erdosmoser.cli; print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    loaded = set(out.split())
-    assert "erdosmoser.cli" in loaded
-    assert not loaded & {f"erdosmoser.{name}" for name in
-                         ("approx", "polyform", "powersum", "search", "signanalysis")}
+    # arith (the default budget), candidates (the case names) and errors.
+    # The from-import form goes through the package's __getattr__, which
+    # must hand back the submodule without searching every module's __all__.
+    for statement in ("import erdosmoser.cli", "from erdosmoser import cli"):
+        code = f"import sys; {statement}; print(*sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        loaded = set(out.split())
+        assert "erdosmoser.cli" in loaded, statement
+        assert not loaded & {f"erdosmoser.{name}" for name in
+                             ("approx", "polyform", "powersum", "search", "signanalysis")}, statement
 
 
 class TestExitCodes:
@@ -275,6 +306,50 @@ class TestSignsCommand:
         rows = parse_csv(out)
         match = [r for r in rows if r["k"] == "4" and r["case"] == "EVEN_KM1"]
         assert match[0]["m0"] == "3" and match[0]["value"] == "-663"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_late_budget_overrun_leaves_stdout_empty(self, capsys, fmt):
+        # k = 201 is the first to overrun, after about 1.1 MB of rows
+        code, out, err = run_cli(capsys, "signs", "--k-max", "400", "--trial-budget", "100",
+                                 "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "error: unfactored cofactor 20099 exceeds trial budget 100\n"
+
+    def test_zero_row_warns_once(self, capsys, monkeypatch):
+        # (10, 6) is a FULL_SET point only, so one row reads ZERO
+        real = signanalysis.cleared_value
+        monkeypatch.setattr(signanalysis, "cleared_value",
+                            lambda k, m0: 0 if (k, m0) == (10, 6) else real(k, m0))
+        code, out, err = run_cli(capsys, "signs", "--k-max", "12")
+        zeros = [r for r in parse_csv(out) if r["sign"] == "ZERO"]
+        assert code == 0
+        assert [(r["k"], r["case"], r["m0"], r["value"]) for r in zeros] == [
+            ("10", "FULL_SET", "6", "0")]
+        assert err == ("warning: 1 candidate(s) evaluate to exactly zero, "
+                       "i.e. the cleared polynomial has a rational root\n")
+
+    @pytest.mark.parametrize("argv", [["signs", "--k-max", "200"], ["figure2", "--k-to", "400"]],
+                             ids=" ".join)
+    def test_first_block_written_before_every_value(self, monkeypatch, argv):
+        calls, seen = [], []
+        real = signanalysis.cleared_value
+
+        def counted(k, m0):
+            calls.append((k, m0))
+            return real(k, m0)
+
+        monkeypatch.setattr(signanalysis, "cleared_value", counted)
+        stdout = text_stdout([])
+        stdout.buffer.write = lambda data: seen.append(len(calls)) or len(data)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert len(seen) >= 2 and 0 < seen[0] < len(calls)
+
+    def test_memory_does_not_grow_with_the_table(self):
+        # holding every report of k <= 400 at once took about 3 MB
+        growth = traced_growth(["signs", "--k-max", "3", "--format", "json"],
+                               ["signs", "--k-max", "400", "--format", "json"], peak=True)
+        assert growth < 1.6 * 1024 * 1024
 
 
 class TestRatiosCommand:
@@ -656,12 +731,16 @@ class TestOutputContract:
         ["candidates", "--k", "10"],  # bool columns
         ["ratios", "--case", "EVEN_KM1", "--k-from", "4", "--k-to", "300", "--exact"],
         ["threshold", "--k", "4"],  # a float cell from a Fraction
+        ["signs", "--k-max", "60", "--format", "json"],
+        ["poly", "--full-eml", "--k", "40", "--format", "json"],  # negative coefficients
+        ["sum", "--k", "3", "--m", "5", "--format", "json"],
+        ["search", "--k", "1..12", "--m", "3..5000", "--format", "json"],
     ], ids=" ".join)
     def test_template_matches_per_cell_spelling(self, capsys, monkeypatch, argv):
         _, templated, _ = run_cli(capsys, *argv)
-        spellings = cli._spellings  # (CSV, JSON, CSV template) per kind
+        spellings = cli._spellings  # (CSV, JSON, CSV template, JSON template) per kind
         monkeypatch.setattr(cli, "_spellings", lambda digits: {
-            kind: (*spelling[:2], None) for kind, spelling in spellings(digits).items()})
+            kind: (*spelling[:2], None, None) for kind, spelling in spellings(digits).items()})
         _, per_cell, _ = run_cli(capsys, *argv)
         lines = zip(templated.splitlines(), per_cell.splitlines(), strict=True)
         assert [pair for pair in lines if pair[0] != pair[1]] == []
@@ -669,28 +748,7 @@ class TestOutputContract:
     def test_figure1_leaves_no_rows_parked(self):
         # CPython 3.11 never reuses freed 20-item tuples, so spelling each
         # figure1 row through one would leave about 0.4 MB behind
-        code = textwrap.dedent("""
-            import io, sys, tracemalloc
-            from erdosmoser.cli import main
-
-            class Sink(io.RawIOBase):
-                def writable(self):
-                    return True
-
-                def write(self, data):
-                    return len(data)
-
-            sys.stdout = io.TextIOWrapper(Sink(), write_through=True)
-            main(["figure1", "--k-to", "2", "--m-to", "3"])  # lazy imports
-            tracemalloc.start()
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(["figure1"]) == 0
-            sys.stderr.write(str(tracemalloc.get_traced_memory()[0] - before))
-        """)
-        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stderr) < 200 * 1024
+        assert traced_growth(["figure1", "--k-to", "2", "--m-to", "3"], ["figure1"]) < 200 * 1024
 
     def test_digits_flag_controls_floats(self, capsys):
         _, wide, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", "12")

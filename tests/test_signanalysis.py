@@ -6,7 +6,8 @@ import pytest
 
 from erdosmoser import signanalysis
 from erdosmoser.candidates import CaseKind, candidate_roots, highlighted_candidates
-from erdosmoser.errors import DomainError
+from erdosmoser.arith import DivisorBudget
+from erdosmoser.errors import BudgetExceededError, DomainError
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
     FULL_SET,
@@ -14,6 +15,8 @@ from erdosmoser.signanalysis import (
     dominance_ratio,
     dominance_series,
     sign_at,
+    sign_candidates,
+    sign_reports,
     sign_summary,
     sign_threshold,
 )
@@ -75,6 +78,25 @@ class TestSignSummary:
                   for case, m0 in highlighted_candidates(k)
                   + [(FULL_SET, m0) for m0 in candidate_roots(k).integer_candidates_ge3]]
         assert reports == oracle
+
+    def test_summary_is_its_per_k_step(self):
+        candidates = sign_candidates(60)
+        assert list(candidates) == list(range(2, 61))
+        assert all(candidates[k] == candidate_roots(k).integer_candidates_ge3 for k in candidates)
+        per_k = [sign_reports(k, integers) for k, integers in candidates.items()]
+        assert [r for reports in per_k for r in reports] == sign_summary(60)
+        assert all({r.k for r in reports} <= {k} for k, reports in zip(candidates, per_k))
+
+    def test_candidates_fail_before_any_evaluation(self, monkeypatch):
+        # the first overrun is at k = 201: (k+1)(k-2) = 2 * 101 * 199, and
+        # budget 100 leaves the cofactor 101 * 199 = 20099 > 100^2
+        calls = []
+        monkeypatch.setattr(signanalysis, "cleared_value", lambda k, m0: calls.append((k, m0)))
+        with pytest.raises(BudgetExceededError, match="cofactor 20099 exceeds trial budget 100"):
+            sign_candidates(400, DivisorBudget(100))
+        with pytest.raises(DomainError):
+            sign_candidates(2)
+        assert calls == []
 
     def test_canonical_order(self):
         # generation order is all that keeps it; nothing sorts the reports
