@@ -192,11 +192,11 @@ def _spelled(rows, line, command: str):
     one thread (a fork copies no other thread, nor frees the locks they
     hold), is spelled in two processes: a forked row worker spells the
     groups at odd positions while this process spells the others.  The
-    worker builds each whole group, then sends it through a pipe in
-    length-prefixed frames of about 64 KB, each of whole rows joined by
-    newlines (no spelled row holds one), and an empty frame ends the
-    group.  The worker is reaped before this generator ends or is closed;
-    on any exception it is killed first."""
+    worker builds each whole group, then sends it through a pipe as text,
+    each row ended by a newline, and an empty line closes the group: no
+    spelled row is empty or holds a newline.  A line without its newline
+    means the stream was cut.  The worker is reaped before this generator
+    ends or is closed; on any exception it is killed first."""
     groups = list(rows.items()) if isinstance(rows, dict) else [(None, rows)]
     if len(groups) < 2 or not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
         for _, group in groups:
@@ -208,24 +208,19 @@ def _spelled(rows, line, command: str):
         os.close(read_fd)
         _row_worker([group for _, group in groups[1::2]], line, write_fd)
     os.close(write_fd)
-    pipe, status = open(read_fd, "rb"), None
+    pipe, status = open(read_fd, encoding="utf-8", newline="\n"), None
     try:
         for i, (label, group) in enumerate(groups):
             if i % 2 == 0:
                 yield from map(line, group)
                 continue
-            while True:
-                head = pipe.read(4)
-                size = int.from_bytes(head, "big")
-                frame = pipe.read(size)
-                if len(head) < 4 or len(frame) < size:
+            for spelled in iter(pipe.readline, "\n"):
+                if not spelled.endswith("\n"):  # "" at the end of the pipe, or a row cut short
                     status = os.waitpid(pid, 0)[1]
                     raise InternalConsistencyError(
                         f"{command} row worker ended with exit status "
                         f"{os.waitstatus_to_exitcode(status)} before sending group {label}")
-                if not frame:
-                    break
-                yield from frame.decode().split("\n")
+                yield spelled[:-1]
         status = os.waitpid(pid, 0)[1]
         if status:
             raise InternalConsistencyError(
@@ -241,28 +236,18 @@ def _spelled(rows, line, command: str):
 
 
 def _row_worker(groups: list, line, write_fd: int):
-    """The forked side of ``_spelled``: never touches stdout, prints its
-    traceback to stderr on failure and always leaves through ``os._exit``,
-    so no exception unwinds into the stack it shares with the parent."""
+    """The forked side of ``_spelled``: spells each group whole, then writes
+    its rows to the pipe, each ended by a newline, and an empty line to
+    close the group.  Never touches stdout, prints its traceback to stderr
+    on failure and always leaves through ``os._exit``, so no exception
+    unwinds into the stack it shares with the parent."""
     code = 1
     try:
-        with open(write_fd, "wb") as pipe:
-            def send(texts):
-                data = "\n".join(texts).encode()
-                pipe.write(len(data).to_bytes(4, "big") + data)
-
+        with open(write_fd, "w", encoding="utf-8", newline="\n") as pipe:
             for group in groups:
-                frame, size = [], 0
-                for spelled in [line(row) for row in group]:  # the whole group first
-                    frame.append(spelled)
-                    size += len(spelled) + 1
-                    if size >= _BLOCK:
-                        send(frame)
-                        frame, size = [], 0
-                if frame:
-                    send(frame)
-                send([])
-                pipe.flush()
+                pipe.writelines([line(row) + "\n" for row in group])  # the whole group first
+                pipe.write("\n")
+                pipe.flush()  # the parent takes the group while the next one is built
         code = 0
     except BaseException:
         import traceback
@@ -315,9 +300,8 @@ def _cmd_poly(args):
 
 def _cmd_candidates(args):
     cs = candidate_roots(args.k, DivisorBudget(args.trial_budget))
-    integers = set(cs.integer_candidates_ge3)
-    rows = [(c, c.denominator == 1, c.denominator == 1 and int(c) in integers)
-            for c in cs.all_candidates]
+    # the same set as cs.integer_candidates_ge3: every integer candidate is a divisor
+    rows = [(c, c.denominator == 1, c.denominator == 1 and c >= 3) for c in cs.all_candidates]
     params = {"k": cs.k, "source": cs.source.value, "factored_root_zero": cs.factored_root_zero,
               "count": len(cs.all_candidates)}
     columns = [("candidate", TEXT), ("is_integer", BOOL), ("integer_ge3", BOOL)]

@@ -4,10 +4,12 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -618,6 +620,46 @@ class TestFigure1Worker:
         with pytest.raises(InternalConsistencyError, match=message):
             main(["figure1", "--k-to", "4"])
         assert len(forks) == 1 and no_child_left()
+
+    @pytest.mark.parametrize("sent, received", [("22", ["1"]), ("22\n", ["1", "22"])],
+                             ids=["mid-row", "before-the-group-ends"])
+    def test_stream_cut_short(self, monkeypatch, sent, received):
+        # a worker that exits 0 after a row cut short, or before the empty
+        # line that closes its group: the cut row is never yielded
+        def stub(groups, line, write_fd):
+            os.write(write_fd, sent.encode())
+            os._exit(0)
+
+        monkeypatch.setattr(cli, "_row_worker", stub)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        got = []
+        message = r"t row worker ended with exit status 0 before sending group \(b\)"
+        with pytest.raises(InternalConsistencyError, match=message):
+            for spelled in cli._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str, "t"):
+                got.append(spelled)
+        assert got == received and no_child_left()
+
+    def test_each_group_arrives_before_the_next_is_built(self, monkeypatch):
+        # the worker sleeps in its second group; its first must reach this
+        # process all the same, or the two processes take turns
+        def slow():
+            time.sleep(30)
+            yield "5"
+
+        def timed_out(signum, frame):
+            raise TimeoutError("the worker's first group did not arrive")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        rows = cli._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str, "t")
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            got = [next(rows) for _ in range(4)]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            rows.close()
+        assert got == ["1", "2", "3", "4"] and no_child_left()
 
     def test_reader_gone_mid_table_is_141(self, capfd, monkeypatch, forks, tmp_path):
         # the reader leaves after 1,000 bytes while the worker still has
