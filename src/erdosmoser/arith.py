@@ -1,9 +1,9 @@
 """Exact-arithmetic substrate: Bernoulli numbers and divisor enumeration
 with an explicit trial-division budget.
 
-Everything here works on Python ints (arbitrary precision) and
-``fractions.Fraction`` (always normalized, positive denominator), so every
-result in this package is exact; nothing rounds.
+Everything here works on Python ints and ``fractions.Fraction`` (always
+normalized, positive denominator; imported by :func:`bernoulli` alone, as
+every CLI run loads this module), so every result is exact; nothing rounds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
 
@@ -44,11 +43,9 @@ class DivisorBudget(namedtuple("DivisorBudget", "max_trial")):
 DEFAULT_BUDGET = DivisorBudget(max_trial=1_000_000)
 
 # Even-index Bernoulli numbers B_0, B_2, B_4, ... computed so far.  Append-only,
-# so reads are safe once a value exists; it grows only under the lock.
-_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
+# so reads are safe once a value exists; it grows, B_0 first, under the lock.
+_BERNOULLI_EVEN: list[Fraction] = []
 _BERNOULLI_LOCK = threading.Lock()
-
-_B1 = Fraction(-1, 2)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -64,17 +61,20 @@ def bernoulli(n: int) -> Fraction:
     Values are computed eagerly up to the requested index and cached under
     a lock (the recurrence is quadratic and shared by many operations).
     """
+    from fractions import Fraction
     if n < 0:
         raise DomainError(f"Bernoulli index must be >= 0, got {n}")
     if n == 1:
-        return _B1
+        return Fraction(-1, 2)
     if n % 2 == 1:
         raise DomainError(f"odd Bernoulli index {n} rejected (B_n = 0 for odd n >= 3)")
     half = n // 2
     with _BERNOULLI_LOCK:
+        if not _BERNOULLI_EVEN:
+            _BERNOULLI_EVEN.append(Fraction(1))
         for m in range(len(_BERNOULLI_EVEN), half + 1):
             nn = 2 * m
-            acc = (nn + 1) * _B1
+            acc = Fraction(-(nn + 1), 2)  # the B_1 term
             for j in range(m):
                 acc += math.comb(nn + 1, 2 * j) * _BERNOULLI_EVEN[j]
             _BERNOULLI_EVEN.append(-acc / (nn + 1))

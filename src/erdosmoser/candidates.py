@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, DivisorBudget, divisors
@@ -122,6 +121,7 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
     not only the named values: exact evaluation over all of it is cheap
     and strictly stronger than spot checks.
     """
+    from fractions import Fraction
     constant, source = _constant_term(k)
     divs = divisors(constant, budget)
     cands = tuple(Fraction(e, 2) for e in sorted({*divs, *(2 * d for d in divs)}))

@@ -17,9 +17,9 @@ exists, a forked worker spells every second group while this process
 spells the rest and does all the writing.  Its bytes, blocks and exit
 codes are the same either way.  signs and figure2 compute their rows one
 k at a time as they are written; signs factors every k before its first
-row, so a budget overrun still leaves stdout empty.  Each handler imports
-the library modules it runs, so a run loads only what its subcommand
-needs.
+row, so a budget overrun still leaves stdout empty.  A run loads only what
+its subcommand needs: each handler imports the modules it runs, figure1
+its kernel too, and ``fractions`` loads only where a Fraction is built.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -35,7 +35,6 @@ import math
 import os
 import sys
 import threading
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import __version__
@@ -52,8 +51,6 @@ SCHEMA_VERSION = "1"
 INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
 
 _BLOCK = 64 * 1024  # characters per block, CSV or JSON
-
-_FIG1_QUANTITIES = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,9 +69,10 @@ def _range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _fraction_arg(text: str) -> fractions.Fraction:
+    import fractions  # only approx reads a rational, so no other run loads it
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational like 7/2 or 3.5, got {text!r}") from None
 
@@ -352,7 +350,7 @@ def _cmd_ratios(args):
 
 
 def _cmd_threshold(args):
-    from .signanalysis import sign_threshold
+    from .search import sign_threshold
     predicted, crossing = sign_threshold(args.k)
     columns = [("k", INT), ("predicted", TEXT), ("predicted_float", FLOAT), ("crossing", INT)]
     row = (args.k, predicted, float(predicted), crossing)
@@ -368,51 +366,19 @@ def _cmd_search(args):
 
 
 def _cmd_figure1(args):
+    from ._figure1 import figure1_rows
     ks, ms = range(args.k_from, args.k_to + 1), range(args.m_from, args.m_to + 1)
     if not ks or ks.start < 1:
         raise DomainError(f"invalid k range [{args.k_from}, {args.k_to}]")
     if not ms or ms.start < 2:
         raise DomainError(f"invalid m range [{args.m_from}, {args.m_to}]")
-    columns = [("k", INT), ("m", INT)] + _triplet_columns(_FIG1_QUANTITIES, args.exact)
+    quantities = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
+    columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities, args.exact)
     params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
     half = len(ms) // 2
-    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": _figure1_rows(k, part, args.exact)
+    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part, args.exact)
               for k in ks for part in (ms[:half], ms[half:])}
     return params, columns, groups
-
-
-def _figure1_rows(k: int, ms: range, include_exact: bool):
-    """Lazily, one row per m, every cell from m^k and (m-1)^k, carried from
-    the previous m.  With d = 2(k+1), A = (2(m-1)+k+1)(m-1)^k + k - 1 is
-    d S_R(m-1,k), c = A - d m^k, and the corrected difference is
-    (12c + dk((m-1)^{k-1} - 1))/(12d).  The tests rebuild every cell through
-    the Fraction forms ``approx.sum_eml_leading`` and ``first_correction``."""
-    from .powersum import PowerSumQuery, sum_direct
-    log10, gcd = math.log10, math.gcd
-    d = 2 * (k + 1)
-    running = sum_direct(PowerSumQuery(ms.start - 1, k))
-    below = (ms.start - 1) ** k
-    for m in ms:
-        power = m**k
-        a = (2 * m + k - 1) * below + k - 1
-        c = a - d * power
-        e = 12 * c + d * k * (below // (m - 1) - 1)
-        g, h = gcd(a, d), gcd(e, 12 * d)  # gcd(c, d) = gcd(a, d)
-        a, c, q, e, r, s = a // g, c // g, d // g, e // h, 12 * d // h, running - power
-        # S, S_R and m^k are positive
-        row = [
-            k, m, running, log10(running), 1,
-            a if q == 1 else f"{a}/{q}", log10(a) - log10(q), 1,
-            power, log10(power), 1,
-            c if q == 1 else f"{c}/{q}", log10(abs(c)) - log10(q) if c else None, (c > 0) - (c < 0),
-            e if r == 1 else f"{e}/{r}", log10(abs(e)) - log10(r) if e else None, (e > 0) - (e < 0),
-            s, log10(abs(s)) if s else None, (s > 0) - (s < 0),
-        ]
-        if not include_exact:
-            del row[2::3]
-        yield row
-        running += power
-        below = power
 
 
 def _cmd_figure2(args):
@@ -512,27 +478,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact cells can run past 4,300 digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # exact cells can pass the 4,300-digit int->str limit; restored on any exit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        if "digits" in args and not 1 <= args.digits <= 50:
-            raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
-        if "trial_budget" in args and args.trial_budget < 2:
-            raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
-        params, columns, rows = args.handler(args)
-    except (DomainError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, BudgetExceededError) else 2
-    try:
-        _emit(args, params, columns, rows)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away (``| head``).  Point stdout at devnull so the
-        # flush at interpreter exit does not raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
-    return 0
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if "digits" in args and not 1 <= args.digits <= 50:
+                raise DomainError(f"--digits must be in [1, 50], got {args.digits}")
+            if "trial_budget" in args and args.trial_budget < 2:
+                raise DomainError(f"--trial-budget must be >= 2, got {args.trial_budget}")
+            params, columns, rows = args.handler(args)
+        except (DomainError, BudgetExceededError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, BudgetExceededError) else 2
+        try:
+            _emit(args, params, columns, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away (``| head``).  Point stdout at devnull so the
+            # flush at interpreter exit does not raise a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        return 0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

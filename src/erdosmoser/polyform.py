@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError
 from .powersum import _require_exponent, eml_terms
@@ -38,8 +37,6 @@ __all__ = [
     "full_eml_poly",
     "quotient_poly",
 ]
-
-Scalar = Union[int, Fraction]
 
 
 class IntPoly(namedtuple("IntPoly", "coeffs")):
@@ -66,9 +63,9 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         return len(self.coeffs) - 1
 
 
-def eval_poly(p: IntPoly, m: Scalar) -> Scalar:
+def eval_poly(p: IntPoly, m: int | Fraction) -> int | Fraction:
     """Exact Horner evaluation; an int argument gives an int result."""
-    acc: Scalar = 0
+    acc = 0
     for c in reversed(p.coeffs):
         acc = acc * m + c
     return acc
@@ -155,6 +152,7 @@ def full_eml_poly(k: int) -> ClearedPoly:
 
     D grows factorially with k; memory is the only practical limit.
     """
+    from fractions import Fraction
     leading = cleared_poly(k)
     coeffs = [Fraction(c, leading.multiplier) for c in leading.poly.coeffs]
     for e, weight in eml_terms(k):

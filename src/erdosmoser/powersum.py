@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .arith import bernoulli
 from .errors import DomainError, InternalConsistencyError
@@ -73,6 +72,7 @@ def sum_eml_exact(q: PowerSumQuery) -> Fraction:
     """
     if q.n < 1:
         raise DomainError("expansion requires n >= 1 (integral lower bound is 1)")
+    from fractions import Fraction
     n, k = q.n, q.k
     total = Fraction(n ** (k + 1) - 1, k + 1) + Fraction(1 + n**k, 2)
     for e, weight in eml_terms(k):

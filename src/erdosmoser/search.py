@@ -1,16 +1,16 @@
-"""Exact location of the sign change of S(m-1,k) - m^k, and the search
-for exact solutions built on it.  A hit means literal equality of big
-integers; the work per k is linear in its crossing point, not in m_hi.
+"""Exact location of the sign change of S(m-1,k) - m^k (:func:`sign_threshold`),
+and the search for exact solutions built on it.  A hit means literal equality
+of big integers; the work per k is linear in its crossing point, not in m_hi.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .powersum import PowerSumQuery, sum_direct
 
-__all__ = ["SearchHit", "find_solutions", "first_nonnegative"]
+__all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_threshold"]
 
 
 class SearchHit(NamedTuple):
@@ -32,6 +32,27 @@ def first_nonnegative(k: int, m_lo: int, m_hi: int) -> tuple[int, int] | None:
             return m, running - power
         running += power
     return None
+
+
+def sign_threshold(k: int) -> tuple[Fraction, int]:
+    """(predicted crossing 3(k+1)/2, first integer m >= 3 where S(m-1,k) - m^k
+    turns positive; the full-expansion polynomial is D > 0 times it).
+
+    Scans upward from m = 3 with exact direct sums, so every m below the
+    returned crossing was observed <= 0.  An exact zero at m (for k = 1, the
+    known solution m = 3) reports m + 1, where the difference is positive by
+    the single-crossing lemma of :func:`find_solutions`.  No crossing below
+    the scan bound 4(k+2) raises :class:`InternalConsistencyError`.
+    """
+    from fractions import Fraction
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    bound = 4 * (k + 2)
+    found = first_nonnegative(k, 3, bound)
+    if found is None:
+        raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
+    m, diff = found
+    return Fraction(3 * (k + 1), 2), m if diff > 0 else m + 1
 
 
 def find_solutions(

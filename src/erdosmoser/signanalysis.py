@@ -1,5 +1,5 @@
-"""Exact sign evaluation at candidate roots, the per-case dominance
-ratios with their limits, and the large-m sign-crossing analysis.
+"""Exact sign evaluation at candidate roots and the per-case dominance
+ratios with their limits; the sign crossing is in :mod:`erdosmoser.search`.
 
 Values come from the integer closed form of the cleared polynomial
 (``polyform.cleared_value``), never from floats; the expanded polynomial
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, highlighted_candidates, integer_candidates
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .polyform import cleared_value
-from .search import first_nonnegative
+from .search import sign_threshold  # noqa: F401  not in __all__; perfbench/tracer.py imports it here
 
 __all__ = [
     "FULL_SET",
@@ -35,7 +34,6 @@ __all__ = [
     "sign_candidates",
     "sign_reports",
     "sign_summary",
-    "sign_threshold",
 ]
 
 #: Marker for sign reports coming from the full enumerated divisor set
@@ -152,6 +150,7 @@ def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:
     log-space float beyond that cutoff (log1p keeps the base accurate when
     it is 1 + tiny).
     """
+    from fractions import Fraction
     m0 = case.candidate(k)
     pref = Fraction(2 * (k + 1), 2 * (m0 - 1) + k + 1)
     base = Fraction(m0, m0 - 1)
@@ -188,24 +187,3 @@ def _strictly_less(b: RatioPoint, a: RatioPoint) -> bool:
     if a.exact is not None and b.exact is not None:
         return b.exact < a.exact
     return b.value < a.value
-
-
-def sign_threshold(k: int) -> tuple[Fraction, int]:
-    """(predicted crossing 3(k+1)/2, first integer m >= 3 where S(m-1,k) - m^k
-    turns positive; the full-expansion polynomial is D > 0 times it).
-
-    Scans upward from m = 3 with exact direct sums, so every m below the
-    returned crossing was observed <= 0.  An exact zero at m (for k = 1, the
-    known solution m = 3) reports m + 1, where the difference is positive by
-    the single-crossing lemma of :func:`~erdosmoser.search.find_solutions`.
-    No crossing below the scan bound 4(k+2) raises
-    :class:`InternalConsistencyError`.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    bound = 4 * (k + 2)
-    found = first_nonnegative(k, 3, bound)
-    if found is None:
-        raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
-    m, diff = found
-    return Fraction(3 * (k + 1), 2), m if diff > 0 else m + 1

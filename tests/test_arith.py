@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,19 @@ class TestDivisors:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             DivisorBudget(max_trial=1)
+
+
+def test_cold_first_call_seeds_b0():
+    # a fresh process starts with an empty cache; the first call, at any
+    # even index, seeds B_0 under the lock before the recurrence reads it
+    code = ("from fractions import Fraction; from erdosmoser.arith import bernoulli; "
+            "assert bernoulli(4) == Fraction(-1, 30); "
+            "assert bernoulli(0) == 1 and bernoulli(1) == Fraction(-1, 2)")
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBernoulliConcurrency:

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import erdosmoser
-from erdosmoser import cli, signanalysis
+from erdosmoser import _figure1, cli, signanalysis
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
 from erdosmoser.errors import InternalConsistencyError
@@ -150,6 +150,68 @@ def test_import_loads_only_what_the_parser_needs():
         assert "erdosmoser.cli" in loaded, statement
         assert not loaded & {f"erdosmoser.{name}" for name in
                              ("approx", "polyform", "powersum", "search", "signanalysis")}, statement
+        assert not loaded & {"fractions", "decimal", "erdosmoser._figure1"}, statement
+
+
+FOOTPRINTS = [  # argv, modules it must not load, modules it must load
+    (["--version"], {"fractions", "decimal"}, set()),
+    (["figure1", "--k-to", "3"], {"fractions", "decimal"}, {"erdosmoser._figure1"}),
+    (["signs", "--k-max", "10", "--format", "json"], {"fractions", "decimal"}, set()),
+    (["search", "--k", "1..5", "--m", "3..50"], {"fractions", "decimal"}, set()),
+    (["threshold", "--k", "5"], {"erdosmoser.signanalysis", "erdosmoser.polyform"}, {"fractions"}),
+    (["approx", "--k", "3", "--m", "7/2"], set(), {"fractions"}),  # so the others cannot pass vacuously
+]
+
+
+@pytest.mark.parametrize("argv, absent, present", FOOTPRINTS,
+                         ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
+def test_each_command_loads_only_what_it_runs(argv, absent, present):
+    code = textwrap.dedent(f"""
+        import io, sys
+        from erdosmoser.cli import main
+        sys.stdout = io.StringIO()
+        try:
+            main({argv!r})
+        except SystemExit:  # --version
+            pass
+        sys.stderr.write(" ".join(sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert not loaded & absent and present <= loaded
+
+
+def test_int_str_limit_restored_after_every_run():
+    # an in-process caller must not run on with CPython's int->str guard off
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int->str digit limit on this interpreter")
+    code = textwrap.dedent("""
+        import io, sys
+        from erdosmoser.cli import main
+        limit = sys.get_int_max_str_digits()
+        assert limit, "this check needs a limit in force"
+        out = sys.stdout = io.StringIO()
+        assert main(["figure1", "--k-from", "2000", "--k-to", "2000",
+                     "--m-from", "200", "--m-to", "200"]) == 0
+        header, row = out.getvalue().splitlines()
+        power = row.split(",")[header.split(",").index("power")]
+        assert len(power) == 4603 and power == str(2**2000) + "0" * 4000  # 200^2000, whole
+        assert sys.get_int_max_str_digits() == limit
+        assert main(["sum", "--k", "0", "--m", "5"]) == 2
+        assert sys.get_int_max_str_digits() == limit
+        try:
+            main(["sum", "--k", "many"])
+        except SystemExit as exc:
+            assert exc.code == 1
+        else:
+            raise AssertionError("no usage error")
+        assert sys.get_int_max_str_digits() == limit
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:
@@ -605,7 +667,7 @@ class TestFigure1Worker:
         assert forks == [] and not thread.is_alive()
 
     def test_worker_failure_names_the_group(self, monkeypatch, forks):
-        rows = cli._figure1_rows
+        rows = _figure1.figure1_rows
 
         def failing(k, ms, include_exact):
             for row in rows(k, ms, include_exact):
@@ -613,7 +675,7 @@ class TestFigure1Worker:
                     raise RuntimeError("planted failure")
                 yield row
 
-        monkeypatch.setattr(cli, "_figure1_rows", failing)
+        monkeypatch.setattr(_figure1, "figure1_rows", failing)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setattr(sys, "stdout", text_stdout([]))
         message = r"figure1 row worker ended with exit status 1 before sending group \(k=3, m=102\.\.200\)"

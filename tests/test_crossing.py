@@ -8,6 +8,8 @@ which the single-crossing lemma in ``find_solutions`` rules out.
 
 import pytest
 
+import erdosmoser
+from erdosmoser import search, signanalysis
 from erdosmoser.errors import InternalConsistencyError
 from erdosmoser.polyform import eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
@@ -60,6 +62,14 @@ def test_threshold_matches_horner_scan(k):
 )
 def test_search_matches_full_range_scan(k_range, m_range):
     assert find_solutions(k_range, m_range) == full_range_search(k_range, m_range)
+
+
+def test_crossing_has_one_home():
+    # search owns it; signanalysis and the package hand back the same function
+    assert search.sign_threshold is signanalysis.sign_threshold is erdosmoser.sign_threshold
+    owners = [name for name in erdosmoser._MODULES
+              if "sign_threshold" in getattr(erdosmoser, name).__all__]
+    assert owners == ["search"]
 
 
 class TestFirstNonnegative:
