@@ -350,10 +350,12 @@ def _cmd_ratios(args):
 
 
 def _cmd_threshold(args):
-    from .search import sign_threshold
-    predicted, crossing = sign_threshold(args.k)
+    from .search import sign_crossing
+    crossing = sign_crossing(args.k)
+    n = 3 * (args.k + 1)  # the prediction is n/2, spelled as str(Fraction(n, 2)) spells it
+    predicted = str(n // 2) if n % 2 == 0 else f"{n}/2"
     columns = [("k", INT), ("predicted", TEXT), ("predicted_float", FLOAT), ("crossing", INT)]
-    row = (args.k, predicted, float(predicted), crossing)
+    row = (args.k, predicted, n / 2, crossing)
     return {"k": args.k}, columns, [row]
 
 
@@ -382,17 +384,16 @@ def _cmd_figure1(args):
 
 
 def _cmd_figure2(args):
-    from .signanalysis import dominance_ratio, sign_at
+    from .signanalysis import case_point
     if args.k_to < 4:
         raise DomainError(f"--k-to must be >= 4, got {args.k_to}")
 
     def rows():
         for case in CaseKind:
             for k in range(case.min_k, args.k_to + 1, 2):
-                report = sign_at(k, case.candidate(k), case)
-                point = dominance_ratio(k, case)
+                report, ratio = case_point(k, case)
                 row = (case.name, k, report.m0, *_triplet(report.value, 1, args.exact))
-                yield row + (report.sign.name, point.value, point.limit)
+                yield row + (report.sign.name, ratio, case.limit)
 
     columns = (
         [("case", TEXT), ("k", INT), ("m0", INT)]

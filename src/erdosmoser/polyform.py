@@ -10,8 +10,8 @@ Two cleared forms are built here:
 * ``cleared_poly`` -- 2(k+1) times the leading (integral + boundary)
   approximation of the power-sum difference, the degree-(k+1) polynomial
   whose rational roots are enumerated by :mod:`erdosmoser.candidates`;
-  ``cleared_value`` gives its value at one integer m from the closed form,
-  without expanding it;
+  ``cleared_groups`` gives its two term groups at one integer m from the
+  closed form, without expanding it, and ``cleared_value`` the value from them;
 * ``full_eml_poly`` -- the exact difference with every Bernoulli
   correction included, multiplied by the least common multiple D of all
   denominators, so that dividing its integer values by D reproduces the
@@ -30,6 +30,7 @@ from .powersum import _require_exponent, eml_terms
 __all__ = [
     "ClearedPoly",
     "IntPoly",
+    "cleared_groups",
     "cleared_poly",
     "cleared_value",
     "eml_multiplier",
@@ -99,16 +100,23 @@ def cleared_poly(k: int) -> ClearedPoly:
     return ClearedPoly(IntPoly(tuple(c)), k, 2 * (k + 1))
 
 
+def cleared_groups(k: int, m: int) -> tuple[int, int]:
+    """(positive, negative) = ((2(m-1) + k + 1)(m-1)^k, 2(k+1) m^k), the
+    cleared form's two term groups at integer m: two big-integer powers."""
+    _require_exponent(k)
+    b = m - 1
+    return (2 * b + k + 1) * b**k, 2 * (k + 1) * m**k
+
+
 def cleared_value(k: int, m: int) -> int:
-    """The cleared polynomial at integer m from the closed form
-    (2(m-1) + k + 1)(m-1)^k - 2(k+1) m^k + (k-1): two big-integer powers and
-    no expansion.  Identically
+    """The cleared polynomial at integer m from its closed form
+    (2(m-1) + k + 1)(m-1)^k - 2(k+1) m^k + (k-1), the groups of
+    :func:`cleared_groups`.  Identically
     ``cleared_value(k, m) == eval_poly(cleared_poly(k).poly, m)``, which the
     tests check with Horner evaluation as the oracle.
     """
-    _require_exponent(k)
-    b = m - 1
-    return (2 * b + k + 1) * b**k - 2 * (k + 1) * m**k + k - 1
+    positive, negative = cleared_groups(k, m)
+    return positive - negative + k - 1
 
 
 def quotient_poly(k: int) -> IntPoly:

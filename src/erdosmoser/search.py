@@ -1,4 +1,4 @@
-"""Exact location of the sign change of S(m-1,k) - m^k (:func:`sign_threshold`),
+"""Exact location of the sign change of S(m-1,k) - m^k (:func:`sign_crossing`),
 and the search for exact solutions built on it.  A hit means literal equality
 of big integers; the work per k is linear in its crossing point, not in m_hi.
 """
@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalConsistencyError
 from .powersum import PowerSumQuery, sum_direct
 
-__all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_threshold"]
+__all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_crossing", "sign_threshold"]
 
 
 class SearchHit(NamedTuple):
@@ -34,9 +34,9 @@ def first_nonnegative(k: int, m_lo: int, m_hi: int) -> tuple[int, int] | None:
     return None
 
 
-def sign_threshold(k: int) -> tuple[Fraction, int]:
-    """(predicted crossing 3(k+1)/2, first integer m >= 3 where S(m-1,k) - m^k
-    turns positive; the full-expansion polynomial is D > 0 times it).
+def sign_crossing(k: int) -> int:
+    """The first integer m >= 3 where S(m-1,k) - m^k turns positive; the
+    full-expansion polynomial is D > 0 times that difference.
 
     Scans upward from m = 3 with exact direct sums, so every m below the
     returned crossing was observed <= 0.  An exact zero at m (for k = 1, the
@@ -44,7 +44,6 @@ def sign_threshold(k: int) -> tuple[Fraction, int]:
     the single-crossing lemma of :func:`find_solutions`.  No crossing below
     the scan bound 4(k+2) raises :class:`InternalConsistencyError`.
     """
-    from fractions import Fraction
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     bound = 4 * (k + 2)
@@ -52,7 +51,13 @@ def sign_threshold(k: int) -> tuple[Fraction, int]:
     if found is None:
         raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
     m, diff = found
-    return Fraction(3 * (k + 1), 2), m if diff > 0 else m + 1
+    return m if diff > 0 else m + 1
+
+
+def sign_threshold(k: int) -> tuple[Fraction, int]:
+    """(predicted crossing 3(k+1)/2, :func:`sign_crossing`)."""
+    from fractions import Fraction
+    return Fraction(3 * (k + 1), 2), sign_crossing(k)
 
 
 def find_solutions(

@@ -7,7 +7,8 @@ equals it identically.  The dominance ratio |negative term group| /
 (positive term group) explains WHY a sign holds at a candidate: above 1
 the lone negative term wins, below 1 the positive group does.  Ratios are
 exact rationals up to a cutoff and log-space floats beyond it, where only
-limits matter.
+limits matter; ``case_point`` takes a case's value, sign and ratio from one
+pair of groups (``polyform.cleared_groups``) and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple, Optional
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, highlighted_candidates, integer_candidates
 from .errors import DomainError
-from .polyform import cleared_value
+from .polyform import cleared_groups, cleared_value
 from .search import sign_threshold  # noqa: F401  not in __all__; perfbench/tracer.py imports it here
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "RatioSeries",
     "Sign",
     "SignReport",
+    "case_point",
     "dominance_ratio",
     "dominance_series",
     "sign_at",
@@ -143,24 +145,37 @@ def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[Sig
 def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:
     """|negative term group| / positive term group at the case's candidate.
 
-    The groups are those of :func:`~erdosmoser.polyform.cleared_value` at
-    m0 = ``case.candidate(k)``: 2(k+1) m0^k over (2(m0-1) + k + 1)(m0-1)^k,
-    that is prefactor 2(k+1)/(2(m0-1) + k + 1) times base (m0/(m0-1))^k.
-    Exact rational for k <= 200, with the float column derived from it;
-    log-space float beyond that cutoff (log1p keeps the base accurate when
-    it is 1 + tiny).
+    The groups are those of :func:`~erdosmoser.polyform.cleared_groups` at
+    m0 = ``case.candidate(k)``: 2(k+1) m0^k over (2(m0-1) + k + 1)(m0-1)^k.
+    Exact rational for k <= 200, with the float column their correctly
+    rounded int/int quotient, the float of the exact value; past that
+    cutoff a log-space float, built without the powers (:func:`_log_ratio`).
     """
-    from fractions import Fraction
     m0 = case.candidate(k)
-    pref = Fraction(2 * (k + 1), 2 * (m0 - 1) + k + 1)
-    base = Fraction(m0, m0 - 1)
-    if k <= _EXACT_CUTOFF:
-        exact: Optional[Fraction] = pref * base**k
-        value = float(exact)
-    else:
-        exact = None
-        value = math.exp(math.log(float(pref)) + k * math.log1p(float(base - 1)))
-    return RatioPoint(k, case, exact, value, case.limit)
+    if k > _EXACT_CUTOFF:
+        return RatioPoint(k, case, None, _log_ratio(k, m0), case.limit)
+    from fractions import Fraction
+    positive, negative = cleared_groups(k, m0)
+    return RatioPoint(k, case, Fraction(negative, positive), negative / positive, case.limit)
+
+
+def _log_ratio(k: int, m0: int) -> float:
+    """The ratio past the exact cutoff, prefactor 2(k+1)/(2(m0-1) + k + 1)
+    times base (1 + 1/(m0-1))^k in log space from int/int quotients; log1p
+    keeps the base accurate when it is 1 + tiny."""
+    b = m0 - 1
+    return math.exp(math.log(2 * (k + 1) / (2 * b + k + 1)) + k * math.log1p(1 / b))
+
+
+def case_point(k: int, case: CaseKind) -> tuple[SignReport, float]:
+    """``(sign_at(k, m0, case), dominance_ratio(k, case).value)`` at
+    m0 = ``case.candidate(k)``, both from one :func:`cleared_groups` call
+    and with no Fraction built at any k."""
+    m0 = case.candidate(k)
+    positive, negative = cleared_groups(k, m0)
+    value = positive - negative + k - 1
+    ratio = negative / positive if k <= _EXACT_CUTOFF else _log_ratio(k, m0)
+    return SignReport(k, m0, case, value, Sign.of(value)), ratio
 
 
 def dominance_series(case: CaseKind, k_from: int, k_to: int, step: int = 2) -> RatioSeries:

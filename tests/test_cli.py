@@ -158,7 +158,9 @@ FOOTPRINTS = [  # argv, modules it must not load, modules it must load
     (["figure1", "--k-to", "3"], {"fractions", "decimal"}, {"erdosmoser._figure1"}),
     (["signs", "--k-max", "10", "--format", "json"], {"fractions", "decimal"}, set()),
     (["search", "--k", "1..5", "--m", "3..50"], {"fractions", "decimal"}, set()),
-    (["threshold", "--k", "5"], {"erdosmoser.signanalysis", "erdosmoser.polyform"}, {"fractions"}),
+    (["threshold", "--k", "5"],
+     {"fractions", "decimal", "erdosmoser.signanalysis", "erdosmoser.polyform"}, {"erdosmoser.search"}),
+    (["figure2", "--k-to", "8"], {"fractions", "decimal"}, {"erdosmoser.signanalysis"}),
     (["approx", "--k", "3", "--m", "7/2"], set(), {"fractions"}),  # so the others cannot pass vacuously
 ]
 
@@ -392,17 +394,19 @@ class TestSignsCommand:
         assert err == ("warning: 1 candidate(s) evaluate to exactly zero, "
                        "i.e. the cleared polynomial has a rational root\n")
 
-    @pytest.mark.parametrize("argv", [["signs", "--k-max", "200"], ["figure2", "--k-to", "400"]],
-                             ids=" ".join)
-    def test_first_block_written_before_every_value(self, monkeypatch, argv):
+    # each command's values are counted at the closed form it calls
+    @pytest.mark.parametrize("argv, closed_form", [
+        pytest.param(["signs", "--k-max", "200"], "cleared_value", id="signs --k-max 200"),
+        pytest.param(["figure2", "--k-to", "400"], "cleared_groups", id="figure2 --k-to 400")])
+    def test_first_block_written_before_every_value(self, monkeypatch, argv, closed_form):
         calls, seen = [], []
-        real = signanalysis.cleared_value
+        real = getattr(signanalysis, closed_form)
 
         def counted(k, m0):
             calls.append((k, m0))
             return real(k, m0)
 
-        monkeypatch.setattr(signanalysis, "cleared_value", counted)
+        monkeypatch.setattr(signanalysis, closed_form, counted)
         stdout = text_stdout([])
         stdout.buffer.write = lambda data: seen.append(len(calls)) or len(data)
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -442,6 +446,14 @@ class TestThresholdCommand:
         rows = parse_csv(out)
         assert rows[0]["predicted"] == "15/2"
         assert rows[0]["crossing"] == "8"
+
+    def test_prediction_spelled_as_its_fraction(self, capsys):
+        # the prediction is spelled from integers; the Fraction is the oracle
+        for k in [*range(1, 61), *range(300, 421)]:
+            _, out, _ = run_cli(capsys, "threshold", "--k", str(k), "--digits", "17")
+            row = parse_csv(out)[0]
+            want = Fraction(3 * (k + 1), 2)
+            assert (row["predicted"], float(row["predicted_float"])) == (str(want), float(want)), k
 
 
 class TestSearchCommand:
@@ -834,7 +846,7 @@ class TestOutputContract:
         ["figure1", "--k-to", "12", "--digits", "50"],
         ["candidates", "--k", "10"],  # bool columns
         ["ratios", "--case", "EVEN_KM1", "--k-from", "4", "--k-to", "300", "--exact"],
-        ["threshold", "--k", "4"],  # a float cell from a Fraction
+        ["threshold", "--k", "4"],  # a float cell, n / 2
         ["signs", "--k-max", "60", "--format", "json"],
         ["poly", "--full-eml", "--k", "40", "--format", "json"],  # negative coefficients
         ["sum", "--k", "3", "--m", "5", "--format", "json"],

@@ -10,10 +10,10 @@ import pytest
 
 import erdosmoser
 from erdosmoser import search, signanalysis
-from erdosmoser.errors import InternalConsistencyError
+from erdosmoser.errors import DomainError, InternalConsistencyError
 from erdosmoser.polyform import eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct
-from erdosmoser.search import SearchHit, find_solutions, first_nonnegative
+from erdosmoser.search import SearchHit, find_solutions, first_nonnegative, sign_crossing
 from erdosmoser.signanalysis import sign_threshold
 
 
@@ -47,6 +47,26 @@ def full_range_search(k_range, m_range):
 @pytest.mark.parametrize("k", list(range(1, 65)) + [300, 360, 420])
 def test_threshold_matches_horner_scan(k):
     assert sign_threshold(k)[1] == horner_threshold(k)
+
+
+def first_positive(k):
+    """The first m >= 3 with S(m-1,k) > m^k, by a running sum that starts at
+    S(2,k) and stops only at a strictly positive difference."""
+    m, total = 3, 1 + 2**k
+    while total <= m**k:
+        total += m**k
+        m += 1
+    return m
+
+
+def test_crossing_matches_first_positive_scan():
+    for k in range(1, 301):
+        assert sign_crossing(k) == sign_threshold(k)[1] == first_positive(k), k
+
+
+def test_crossing_domain():
+    with pytest.raises(DomainError):
+        sign_crossing(0)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from erdosmoser.candidates import candidate_roots, highlighted_candidates
 from erdosmoser.errors import DomainError
 from erdosmoser.polyform import (
     IntPoly,
+    cleared_groups,
     cleared_poly,
     cleared_value,
     eml_multiplier,
@@ -103,9 +104,18 @@ class TestClearedValue:
             for m in range(3, 4 * (k + 2) + 1):
                 assert cleared_value(k, m) == eval_poly(poly, m), (k, m)
 
+    def test_groups_make_the_value(self):
+        for k in range(1, 41):
+            poly = cleared_poly(k).poly
+            for m in range(61):
+                positive, negative = cleared_groups(k, m)
+                assert positive - negative + k - 1 == cleared_value(k, m) == eval_poly(poly, m), (k, m)
+
     def test_bad_exponent(self):
         with pytest.raises(DomainError):
             cleared_value(0, 5)
+        with pytest.raises(DomainError):
+            cleared_groups(0, 5)
 
 
 class TestQuotientPoly:

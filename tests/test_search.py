@@ -69,3 +69,19 @@ class TestFindSolutions:
 
     def test_single_point_range(self):
         assert find_solutions((1, 1), (3, 3)) == [SearchHit(1, 3)]
+
+
+class TestOddExponentLemma:
+    """For odd k, pairing i with m-1-i in 2S(m-1,k) = sum_{i<m} (i^k + (m-1-i)^k)
+    gives (m-1) | 2S(m-1,k).  A solution then needs (m-1) | 2m^k, and as
+    gcd(m-1, m) = 1 that means (m-1) | 2: m <= 3, and at m = 3 only k = 1."""
+
+    def test_m_minus_1_divides_twice_the_sum(self):
+        for k in range(1, 100, 2):
+            total = 0  # S(m-1, k), carried upward
+            for m in range(2, 1001):
+                total += (m - 1) ** k
+                assert 2 * total % (m - 1) == 0, (k, m)
+
+    def test_no_hit_with_odd_k(self):
+        assert [hit for hit in find_solutions((3, 99), (3, 1000)) if hit.k % 2] == []

@@ -12,6 +12,7 @@ from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
     FULL_SET,
     Sign,
+    case_point,
     dominance_ratio,
     dominance_series,
     sign_at,
@@ -214,6 +215,29 @@ class TestRatioAgainstHandDerivedParts:
         for case in CaseKind:
             assert case.limit == want[case], case
             assert dominance_ratio(case.min_k, case).limit == want[case], case
+
+
+class TestCasePoint:
+    @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
+    def test_matches_sign_at_and_ratio(self, case):
+        # floats compared with ==, so both sides of the exact cutoff match bit for bit
+        for k in range(case.min_k, 2003, 2):
+            want = (sign_at(k, case.candidate(k), case), dominance_ratio(k, case).value)
+            assert case_point(k, case) == want, k
+
+    def test_one_closed_form_call(self, monkeypatch):
+        calls = []
+        real = signanalysis.cleared_groups
+        monkeypatch.setattr(signanalysis, "cleared_groups", lambda k, m: calls.append(k) or real(k, m))
+        for k in (5, 201, 999):
+            case_point(k, CaseKind.ODD_KP1)
+        assert calls == [5, 201, 999]
+
+    def test_parity_and_minimum_enforced(self):
+        with pytest.raises(DomainError):
+            case_point(5, CaseKind.EVEN_KM1)
+        with pytest.raises(DomainError):
+            case_point(3, CaseKind.ODD_KM2)
 
 
 class TestDominanceLimit:
