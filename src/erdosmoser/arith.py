@@ -1,16 +1,14 @@
 """Exact-arithmetic substrate: Bernoulli numbers and divisor enumeration
-with an explicit trial-division budget.
+with an explicit trial-division budget.  The module holds no mutable state.
 
 Everything here works on Python ints and ``fractions.Fraction`` (always
-normalized, positive denominator; imported by :func:`bernoulli` alone, as
-every CLI run loads this module), so every result is exact; nothing rounds.
+normalized, positive denominator; imported only where a Bernoulli number is
+built, as every CLI run loads this module), so every result is exact.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .errors import BudgetExceededError, DomainError
 
@@ -42,10 +40,27 @@ class DivisorBudget(namedtuple("DivisorBudget", "max_trial")):
 
 DEFAULT_BUDGET = DivisorBudget(max_trial=1_000_000)
 
-# Even-index Bernoulli numbers B_0, B_2, B_4, ... computed so far.  Append-only,
-# so reads are safe once a value exists; it grows, B_0 first, under the lock.
-_BERNOULLI_EVEN: list[Fraction] = []
-_BERNOULLI_LOCK = threading.Lock()
+
+def _even_bernoulli(h: int) -> Iterator[Fraction]:
+    """B_2, B_4, ..., B_2h, lazily: B_2r = (-1)^(r-1) 2r T_r / (4^r (4^r - 1)).
+
+    The tangent numbers T_1..T_g are built in place by Brent & Harvey's
+    recurrence (arXiv:1108.0286) for g = 1, 2, 4, ... capped at h, and each
+    block yields only the terms the one before did not: the first term costs
+    O(1), a full pass at most about 4/3 of one run, and nothing is kept.
+    """
+    from fractions import Fraction
+    g = 0
+    while g < h:
+        done, g = g, min(2 * g or 1, h)
+        t = [1] * (g + 1)  # t[r] = T_r; t[0] is unused
+        for j in range(2, g + 1):
+            t[j] = (j - 1) * t[j - 1]
+        for i in range(2, g + 1):
+            for j in range(i, g + 1):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+        for r in range(done + 1, g + 1):
+            yield Fraction((-1) ** (r - 1) * 2 * r * t[r], 4**r * (4**r - 1))
 
 
 def bernoulli(n: int) -> Fraction:
@@ -58,8 +73,7 @@ def bernoulli(n: int) -> Fraction:
     recurrence bugs.  Odd indices >= 3 are rejected rather than returning
     their (zero) value, since no caller should consume them.
 
-    Values are computed eagerly up to the requested index and cached under
-    a lock (the recurrence is quadratic and shared by many operations).
+    Nothing is cached, so concurrent callers share no state.
     """
     from fractions import Fraction
     if n < 0:
@@ -68,17 +82,7 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2 == 1:
         raise DomainError(f"odd Bernoulli index {n} rejected (B_n = 0 for odd n >= 3)")
-    half = n // 2
-    with _BERNOULLI_LOCK:
-        if not _BERNOULLI_EVEN:
-            _BERNOULLI_EVEN.append(Fraction(1))
-        for m in range(len(_BERNOULLI_EVEN), half + 1):
-            nn = 2 * m
-            acc = Fraction(-(nn + 1), 2)  # the B_1 term
-            for j in range(m):
-                acc += math.comb(nn + 1, 2 * j) * _BERNOULLI_EVEN[j]
-            _BERNOULLI_EVEN.append(-acc / (nn + 1))
-    return _BERNOULLI_EVEN[half]
+    return deque(_even_bernoulli(n // 2), maxlen=1).pop() if n else Fraction(1)
 
 
 def divisors(n: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[int]:

@@ -478,11 +478,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exact cells can pass the interpreter's 4,300-digit int->str limit.  The
+# first of overlapping main() runs lifts it, and the last to leave restores
+# the value the first one found.
+_LIMIT_LOCK = threading.Lock()
+_limit_runs = 0
+_limit_found = None
+
+
+def _hold_int_str_limit(entering: bool) -> None:
+    global _limit_runs, _limit_found
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return
+    with _LIMIT_LOCK:
+        if entering and not _limit_runs:
+            _limit_found = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _limit_runs += 1 if entering else -1
+        if not _limit_runs:
+            sys.set_int_max_str_digits(_limit_found)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    # exact cells can pass the 4,300-digit int->str limit; restored on any exit
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    _hold_int_str_limit(True)  # released on any exit
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -507,5 +525,4 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 141
         return 0
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        _hold_int_str_limit(False)

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arith import bernoulli
+from .arith import _even_bernoulli
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = ["PowerSumQuery", "eml_terms", "sum_direct", "sum_eml_exact"]
@@ -46,13 +46,12 @@ def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:
     r = 1..floor(k/2), the r-th correction being weight * (n^exponent - 1).
 
     ``k_(j)`` is the falling factorial ``math.perm(k, j)``; corrections of
-    derivative order above k vanish.  Lazy, so taking the first p terms
-    computes only the Bernoulli numbers they need.
+    derivative order above k vanish.  Lazy: taking the first p terms computes
+    tangent numbers up to the next power of two >= p, capped at k/2.
     """
     _require_exponent(k)
-    for r in range(1, k // 2 + 1):
-        drop = 2 * r - 1
-        yield k - drop, bernoulli(2 * r) * math.perm(k, drop) / math.factorial(2 * r)
+    for r, b in enumerate(_even_bernoulli(k // 2), 1):
+        yield k - 2 * r + 1, b * math.perm(k, 2 * r - 1) / math.factorial(2 * r)
 
 
 def sum_direct(q: PowerSumQuery) -> int:

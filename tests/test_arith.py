@@ -13,6 +13,25 @@ from hypothesis import strategies as st
 from erdosmoser import arith
 from erdosmoser.arith import DivisorBudget, bernoulli, divisors
 from erdosmoser.errors import BudgetExceededError, DomainError
+from erdosmoser.powersum import eml_terms
+
+
+def recurrence_even_bernoulli(n_max):
+    """B_0, B_2, ..., B_{n_max} from the defining recurrence in Fractions,
+    quadratic in n_max: the oracle for the tangent-number routine."""
+    even = [Fraction(1)]
+    for m in range(1, n_max // 2 + 1):
+        nn = 2 * m
+        acc = Fraction(-(nn + 1), 2)  # the B_1 term
+        for j in range(m):
+            acc += math.comb(nn + 1, 2 * j) * even[j]
+        even.append(-acc / (nn + 1))
+    return even
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return recurrence_even_bernoulli(400)
 
 
 class TestBernoulli:
@@ -46,6 +65,34 @@ class TestBernoulli:
             for j in range(0, n + 1, 2):
                 total += math.comb(n + 1, j) * bernoulli(j)
             assert total == 0, n
+
+    def test_matches_recurrence_every_even_n_to_400(self, oracle):
+        for n in range(0, 401, 2):
+            assert bernoulli(n) == oracle[n // 2], n
+
+    def test_even_sequence_matches_recurrence(self, oracle):
+        # 200 is no power of two, so the last block is cut at the cap
+        assert list(arith._even_bernoulli(200)) == oracle[1:201]
+        assert list(arith._even_bernoulli(0)) == []
+
+    def test_eml_terms_match_recurrence(self, oracle):
+        for k in range(1, 61):
+            expected = [(k - (2 * r - 1),
+                         oracle[r] * math.perm(k, 2 * r - 1) / math.factorial(2 * r))
+                        for r in range(1, k // 2 + 1)]
+            assert list(eml_terms(k)) == expected, k
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        assert bernoulli(n) == Fraction(*map(int, mpmath.bernfrac(n)))
+
+    def test_matches_sympy_even_indices(self):
+        # sympy takes B_1 = +1/2, so only even indices are compared
+        sympy = pytest.importorskip("sympy")
+        for n in range(0, 61, 2):
+            b = sympy.bernoulli(n)
+            assert bernoulli(n) == Fraction(int(b.p), int(b.q)), n
 
 
 class TestDivisors:
@@ -91,8 +138,8 @@ class TestDivisors:
 
 
 def test_cold_first_call_seeds_b0():
-    # a fresh process starts with an empty cache; the first call, at any
-    # even index, seeds B_0 under the lock before the recurrence reads it
+    # a fresh process: the first call is at an even index above 0, and
+    # B_0 and B_1 follow it
     code = ("from fractions import Fraction; from erdosmoser.arith import bernoulli; "
             "assert bernoulli(4) == Fraction(-1, 30); "
             "assert bernoulli(0) == 1 and bernoulli(1) == Fraction(-1, 2)")
@@ -104,27 +151,30 @@ def test_cold_first_call_seeds_b0():
 
 
 class TestBernoulliConcurrency:
-    def test_cold_cache_filled_by_concurrent_callers(self):
-        # Four first-time callers race to fill the append-only cache; a
-        # shortened switch interval makes an unlocked fill interleave.
-        serial = [bernoulli(2 * i) for i in range(151)]
-        saved = list(arith._BERNOULLI_EVEN)
+    def test_concurrent_callers_get_the_serial_values(self):
+        # Nothing is shared, so four callers racing under a very short switch
+        # interval must each get what one caller gets alone.
+        def work():
+            return bernoulli(300), list(eml_terms(301))
+
+        serial = work()
         results = []
         old_interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            del arith._BERNOULLI_EVEN[1:]
-            threads = [
-                threading.Thread(target=lambda: results.append(bernoulli(300)))
-                for _ in range(4)
-            ]
+            threads = [threading.Thread(target=lambda: results.append(work())) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
-            assert not any(t.is_alive() for t in threads)
-            assert results == [serial[150]] * 4
-            assert arith._BERNOULLI_EVEN == serial
         finally:
             sys.setswitchinterval(old_interval)
-            arith._BERNOULLI_EVEN[:] = saved
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
+
+    def test_module_holds_no_mutable_state(self):
+        mutable = (list, dict, set, bytearray, type(threading.Lock()), type(threading.RLock()))
+        shared = [name for name, value in vars(arith).items()
+                  if isinstance(value, mutable) and name not in ("__all__", "__builtins__")]
+        assert shared == []
+        assert "threading" not in vars(arith)

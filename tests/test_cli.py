@@ -216,6 +216,47 @@ def test_int_str_limit_restored_after_every_run():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_int_str_limit_held_across_overlapping_runs(monkeypatch, capsys, unlimited_int_str):
+    # Run A lifts the limit, run B enters while A is still in its handler,
+    # then A leaves first.  B must still spell its 4,515-digit cell, and the
+    # limit A found must be back once both have left.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int->str digit limit on this interpreter")
+    entered = {1: threading.Event(), 2: threading.Event()}
+    proceed = {1: threading.Event(), 2: threading.Event()}
+
+    def gated(args):
+        entered[args.k].set()
+        proceed[args.k].wait(timeout=60)
+        return {"k": args.k}, [("value", cli.INT)], [(8**5000,)]
+
+    monkeypatch.setattr(cli, "_cmd_threshold", gated)
+    codes = {}
+
+    def run(k):
+        try:
+            codes[k] = main(["threshold", "--k", str(k)])
+        except Exception as exc:  # reported through codes
+            codes[k] = exc
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        runs = {k: threading.Thread(target=run, args=(k,)) for k in (1, 2)}
+        for k in (1, 2):
+            runs[k].start()
+            assert entered[k].wait(timeout=60)
+        for k in (1, 2):
+            proceed[k].set()
+            runs[k].join(timeout=60)
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == {1: 0, 2: 0}
+    assert after == 4300
+    assert capsys.readouterr().out.splitlines() == ["value", str(8**5000)] * 2
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "sum", "--k", "3", "--m", "5")
