@@ -15,7 +15,9 @@ Two cleared forms are built here:
 * ``full_eml_poly`` -- the exact difference with every Bernoulli
   correction included, multiplied by the least common multiple D of all
   denominators, so that dividing its integer values by D reproduces the
-  direct sum difference exactly.
+  direct sum difference exactly.  It is set term by term from Faulhaber's
+  closed form, so its constant term is 0 by construction; the direct sum
+  (the master identity) is its oracle.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
 
     def __new__(cls, coeffs) -> IntPoly:
         c = tuple(coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        return super().__new__(cls, c)
+        n = len(c)
+        while n and c[n - 1] == 0:
+            n -= 1
+        return super().__new__(cls, c[:n])
 
     @property
     def degree(self) -> int:
@@ -148,32 +151,26 @@ def eml_multiplier(k: int) -> int:
 def full_eml_poly(k: int) -> ClearedPoly:
     """The exact power-sum difference as an integer polynomial.
 
-    Starts from :func:`cleared_poly` divided by 2(k+1), which is exactly
-    the integral-plus-boundary approximant of sum_{i=1}^{m-1} i^k minus
-    m^k, adds the Bernoulli corrections from
-    :func:`erdosmoser.powersum.eml_terms`, then multiplies by
-    D = :func:`eml_multiplier`, which clears every denominator.  Degree
-    k + 1, leading coefficient D/(k+1).  The constant term is whatever the
-    expansion produces; it is not assembled from a separate closed form.
-    Master identity, asserted by the tests:
+    By Faulhaber's formula (B_1 = -1/2), sum_{i=1}^{m-1} i^k - m^k is
+    m^{k+1}/(k+1) - (3/2) m^k + sum_r w_r m^{k+1-2r}, r = 1..floor(k/2),
+    where w_r = C(k+1, 2r) B_{2r}/(k+1) is the r-th weight of
+    :func:`erdosmoser.powersum.eml_terms`.  So at most floor(k/2) + 2
+    coefficients are nonzero; each is set from that closed form and
+    multiplied by D = :func:`eml_multiplier`, which clears every
+    denominator.  Degree k + 1, leading coefficient D/(k+1), and the
+    constant term is 0 by construction.  Master identity, the tests' oracle:
     eval_poly(poly, m) == D * (sum_{i<m} i^k - m^k) for integer m.
 
     D grows factorially with k; memory is the only practical limit.
     """
     from fractions import Fraction
-    leading = cleared_poly(k)
-    coeffs = [Fraction(c, leading.multiplier) for c in leading.poly.coeffs]
-    for e, weight in eml_terms(k):
-        for i in range(e + 1):
-            coeffs[i] += weight * math.comb(e, i) * (-1) ** (e - i)
-        coeffs[0] -= weight
     multiplier = eml_multiplier(k)
-    cleared = []
-    for i, c in enumerate(coeffs):
+    cleared = [0] * (k + 2)
+    for e, c in [(k + 1, Fraction(1, k + 1)), (k, Fraction(-3, 2)), *eml_terms(k)]:
         v = c * multiplier
         if v.denominator != 1:
             raise InternalConsistencyError(
-                f"coefficient of m^{i} not cleared by D={multiplier}: {v}"
+                f"coefficient of m^{e} not cleared by D={multiplier}: {v}"
             )
-        cleared.append(int(v))
-    return ClearedPoly(IntPoly(tuple(cleared)), k, multiplier)
+        cleared[e] = int(v)
+    return ClearedPoly(IntPoly(cleared), k, multiplier)

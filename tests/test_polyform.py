@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from erdosmoser.approx import RealArg, sum_eml_leading
+from erdosmoser.arith import bernoulli
 from erdosmoser.candidates import candidate_roots, highlighted_candidates
 from erdosmoser.errors import DomainError
 from erdosmoser.polyform import (
@@ -16,7 +17,23 @@ from erdosmoser.polyform import (
     full_eml_poly,
     quotient_poly,
 )
-from erdosmoser.powersum import PowerSumQuery, sum_direct
+from erdosmoser.powersum import PowerSumQuery, eml_terms, sum_direct
+
+
+def reference_full_eml_poly(k):
+    """full_eml_poly built the long way, kept as an oracle:
+    cleared_poly / 2(k+1) plus every weight * ((m-1)^e - 1), expanded,
+    times D."""
+    leading = cleared_poly(k)
+    coeffs = [Fraction(c, leading.multiplier) for c in leading.poly.coeffs]
+    for e, weight in eml_terms(k):
+        for i in range(e + 1):
+            coeffs[i] += weight * math.comb(e, i) * (-1) ** (e - i)
+        coeffs[0] -= weight
+    multiplier = eml_multiplier(k)
+    cleared = [c * multiplier for c in coeffs]
+    assert all(c.denominator == 1 for c in cleared), k
+    return IntPoly(int(c) for c in cleared)
 
 
 class TestIntPoly:
@@ -39,6 +56,14 @@ class TestIntPoly:
 
     def test_int_argument_gives_int(self):
         assert isinstance(eval_poly(IntPoly((1, 1)), 3), int)
+
+    def test_many_trailing_zeros_trim_in_one_cut(self):
+        # the trim must stay linear: one slice per zero would take minutes here
+        zeros = (0,) * 300_000
+        assert IntPoly((1,) + zeros).coeffs == (1,)
+        assert IntPoly._make([(2, 3) + zeros]).coeffs == (2, 3)
+        assert IntPoly((1,))._replace(coeffs=(4,) + zeros).coeffs == (4,)
+        assert IntPoly(zeros).coeffs == ()
 
 
 class TestClearedPoly:
@@ -179,3 +204,42 @@ class TestFullEmlPoly:
         cp = full_eml_poly(1)
         assert cp.multiplier == 2
         assert cp.poly.coeffs == (0, -3, 1)
+
+    def test_k_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(DomainError):
+                full_eml_poly(k)
+
+    def test_equals_binomial_construction(self):
+        for k in range(1, 151):
+            assert full_eml_poly(k).poly == reference_full_eml_poly(k), k
+
+
+class TestFullEmlCoefficientLaws:
+    # Faulhaber: D * (m^{k+1}/(k+1) - (3/2) m^k + sum_r w_r m^{k+1-2r})
+    def test_support(self):
+        for k in range(1, 201):
+            coeffs = full_eml_poly(k).poly.coeffs
+            support = {i for i, c in enumerate(coeffs) if c}
+            assert support == {k + 1, k} | {k + 1 - 2 * r for r in range(1, k // 2 + 1)}, k
+
+    def test_top_three_and_constant(self):
+        for k in range(1, 201):
+            cp = full_eml_poly(k)
+            c, d = cp.poly.coeffs, cp.multiplier
+            assert c[k + 1] * (k + 1) == d, k
+            assert 2 * c[k] == -3 * d, k
+            if k >= 2:
+                assert 12 * c[k - 1] == d * k, k
+            assert c[0] == 0, k
+
+    def test_low_coefficients(self):
+        # c1 = D B_k for even k; c1 = 0 and c2 = D k B_{k-1} / 2 for odd k >= 3
+        for k in range(2, 201):
+            cp = full_eml_poly(k)
+            c, d = cp.poly.coeffs, cp.multiplier
+            if k % 2 == 0:
+                assert c[1] == d * bernoulli(k), k
+            else:
+                assert c[1] == 0, k
+                assert c[2] == d * k * bernoulli(k - 1) / 2, k
