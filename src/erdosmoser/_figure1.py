@@ -1,7 +1,20 @@
-"""figure1's row kernel, in its own module so only figure1 runs compile it."""
+"""figure1: its handler, its row kernel and its row worker, in their own
+module so only figure1 runs compile them.
+
+figure1's rows fall into independent groups, one per half of each k's m
+range; where the process may run on 2 or more CPUs and ``os.fork``
+exists, a forked worker spells every second group while this process
+spells the rest and ``_table._emit`` does all the writing.  Its bytes,
+blocks and exit codes are the same either way.
+"""
 
 import math
+import os
+import sys
+import threading
 
+from ._table import INT, _triplet_columns
+from .errors import DomainError, InternalConsistencyError
 from .powersum import PowerSumQuery, sum_direct
 
 
@@ -36,3 +49,96 @@ def figure1_rows(k: int, ms: range, include_exact: bool):
         yield row
         running += power
         below = power
+
+
+def _cmd_figure1(args):
+    ks, ms = range(args.k_from, args.k_to + 1), range(args.m_from, args.m_to + 1)
+    if not ks or ks.start < 1:
+        raise DomainError(f"invalid k range [{args.k_from}, {args.k_to}]")
+    if not ms or ms.start < 2:
+        raise DomainError(f"invalid m range [{args.m_from}, {args.m_to}]")
+    quantities = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
+    columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities, args.exact)
+    params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
+    half = len(ms) // 2
+    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part, args.exact)
+              for k in ks for part in (ms[:half], ms[half:])}
+    return params, columns, groups
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spelled(rows: dict, line, command: str):
+    """The spelled rows of a dict of row groups, in order.  On a platform
+    with ``os.fork`` where this process may run on 2 or more CPUs and runs
+    one thread (a fork copies no other thread, nor frees the locks they
+    hold), they are spelled in two processes: a forked row worker spells the
+    groups at odd positions while this process spells the others.  The
+    worker builds each whole group, then sends it through a pipe as text,
+    each row ended by a newline, and an empty line closes the group: no
+    spelled row is empty or holds a newline.  A line without its newline
+    means the stream was cut.  The worker is reaped before this generator
+    ends or is closed; on any exception it is killed first."""
+    groups = list(rows.items())
+    if len(groups) < 2 or not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+        for _, group in groups:
+            yield from map(line, group)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _row_worker([group for _, group in groups[1::2]], line, write_fd)
+    os.close(write_fd)
+    pipe, status = open(read_fd, encoding="utf-8", newline="\n"), None
+    try:
+        for i, (label, group) in enumerate(groups):
+            if i % 2 == 0:
+                yield from map(line, group)
+                continue
+            for spelled in iter(pipe.readline, "\n"):
+                if not spelled.endswith("\n"):  # "" at the end of the pipe, or a row cut short
+                    status = os.waitpid(pid, 0)[1]
+                    raise InternalConsistencyError(
+                        f"{command} row worker ended with exit status "
+                        f"{os.waitstatus_to_exitcode(status)} before sending group {label}")
+                yield spelled[:-1]
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            raise InternalConsistencyError(
+                f"{command} row worker ended with exit status {os.waitstatus_to_exitcode(status)}")
+    finally:
+        if status is None:
+            # killed before the pipe closes: a worker that met the closed
+            # pipe would print a traceback
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        pipe.close()
+
+
+def _row_worker(groups: list, line, write_fd: int):
+    """The forked side of ``_spelled``: spells each group whole, then writes
+    its rows to the pipe, each ended by a newline, and an empty line to
+    close the group.  Never touches stdout, prints its traceback to stderr
+    on failure and always leaves through ``os._exit``, so no exception
+    unwinds into the stack it shares with the parent."""
+    code = 1
+    try:
+        with open(write_fd, "w", encoding="utf-8", newline="\n") as pipe:
+            for group in groups:
+                pipe.writelines([line(row) + "\n" for row in group])  # the whole group first
+                pipe.write("\n")
+                pipe.flush()  # the parent takes the group while the next one is built
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)

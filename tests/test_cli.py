@@ -10,6 +10,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import erdosmoser
-from erdosmoser import _figure1, cli, signanalysis
+from erdosmoser import _crossing, _figure1, _table, cli, signanalysis
 from erdosmoser.approx import RealArg, first_correction, sum_eml_leading
 from erdosmoser.cli import main
 from erdosmoser.errors import InternalConsistencyError
@@ -137,9 +138,13 @@ def test_import_leaves_heavy_modules_out():
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
 
+HANDLER_MODULES = {f"erdosmoser.{name}" for name in ("_commands", "_crossing", "_figure1")}
+
+
 def test_import_loads_only_what_the_parser_needs():
-    # each handler imports the library modules it runs; the parser needs
-    # arith (the default budget), candidates (the case names) and errors.
+    # each handler's module imports the library modules it runs, and main
+    # imports the table writer; the parser needs arith (the default
+    # budget), candidates (the case names) and errors.
     # The from-import form goes through the package's __getattr__, which
     # must hand back the submodule without searching every module's __all__.
     for statement in ("import erdosmoser.cli", "from erdosmoser import cli"):
@@ -150,17 +155,25 @@ def test_import_loads_only_what_the_parser_needs():
         assert "erdosmoser.cli" in loaded, statement
         assert not loaded & {f"erdosmoser.{name}" for name in
                              ("approx", "polyform", "powersum", "search", "signanalysis")}, statement
-        assert not loaded & {"fractions", "decimal", "erdosmoser._figure1"}, statement
+        assert not loaded & {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, statement
 
 
+# A cold run without cached bytecode compiles every module it loads, and
+# that compile can set the run's peak memory, so each run loads only its own
+# handler's module; the present sets keep the absent ones from passing
+# vacuously.
 FOOTPRINTS = [  # argv, modules it must not load, modules it must load
-    (["--version"], {"fractions", "decimal"}, set()),
+    (["--version"], {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, set()),
     (["figure1", "--k-to", "3"], {"fractions", "decimal"}, {"erdosmoser._figure1"}),
-    (["signs", "--k-max", "10", "--format", "json"], {"fractions", "decimal"}, set()),
-    (["search", "--k", "1..5", "--m", "3..50"], {"fractions", "decimal"}, set()),
+    (["signs", "--k-max", "10", "--format", "json"],
+     {"fractions", "decimal", "erdosmoser._figure1"}, {"erdosmoser._commands"}),
+    (["search", "--k", "1..5", "--m", "3..50"],
+     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser._commands"}, {"erdosmoser._crossing"}),
     (["threshold", "--k", "5"],
-     {"fractions", "decimal", "erdosmoser.signanalysis", "erdosmoser.polyform"}, {"erdosmoser.search"}),
-    (["figure2", "--k-to", "8"], {"fractions", "decimal"}, {"erdosmoser.signanalysis"}),
+     {"fractions", "decimal", "erdosmoser.signanalysis", "erdosmoser.polyform", "erdosmoser._figure1",
+      "erdosmoser._commands"}, {"erdosmoser.search", "erdosmoser._crossing"}),
+    (["figure2", "--k-to", "8"],
+     {"fractions", "decimal", "erdosmoser._figure1"}, {"erdosmoser.signanalysis", "erdosmoser._commands"}),
     (["approx", "--k", "3", "--m", "7/2"], set(), {"fractions"}),  # so the others cannot pass vacuously
 ]
 
@@ -183,6 +196,28 @@ def test_each_command_loads_only_what_it_runs(argv, absent, present):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.split())
     assert not loaded & absent and present <= loaded
+
+
+@pytest.mark.parametrize("path", sorted(Path(erdosmoser.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_each_module_compiles_under_640_kib(path):
+    # a run without cached bytecode compiles every module it imports, from
+    # its bytes as here, and the compile's peak, which follows the module's
+    # AST size, can set the run's peak memory; so no module may grow back
+    # into a large one
+    source = path.read_bytes()
+    # a first compile, held until the measured one is done, keeps the
+    # module's names interned; else interning them can resize the
+    # interpreter's shared table, a step set by what ran before
+    held = compile(source, str(path), "exec", dont_inherit=True)
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec", dont_inherit=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del held
+    assert peak < 640 * 1024, f"{path.name}: compile peak {peak / 1024:.0f} KiB"
 
 
 def test_int_str_limit_restored_after_every_run():
@@ -228,9 +263,9 @@ def test_int_str_limit_held_across_overlapping_runs(monkeypatch, capsys, unlimit
     def gated(args):
         entered[args.k].set()
         proceed[args.k].wait(timeout=60)
-        return {"k": args.k}, [("value", cli.INT)], [(8**5000,)]
+        return {"k": args.k}, [("value", _table.INT)], [(8**5000,)]
 
-    monkeypatch.setattr(cli, "_cmd_threshold", gated)
+    monkeypatch.setattr(_crossing, "_cmd_threshold", gated)
     codes = {}
 
     def run(k):
@@ -699,7 +734,7 @@ class TestFigure1Worker:
     def test_forked_matches_serial(self, capsys, monkeypatch, forks, argv):
         outputs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            monkeypatch.setattr(_figure1, "_cpus", lambda: cpus)
             outputs.append(run_cli(capsys, "figure1", *argv))
         assert len(forks) == 1  # the serial run forks nothing
         assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
@@ -707,7 +742,7 @@ class TestFigure1Worker:
 
     def test_no_fork_beside_another_thread(self, capsys, monkeypatch, forks):
         # a forked child would hold copies of that thread's locks, never released
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
@@ -729,7 +764,7 @@ class TestFigure1Worker:
                 yield row
 
         monkeypatch.setattr(_figure1, "figure1_rows", failing)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         monkeypatch.setattr(sys, "stdout", text_stdout([]))
         message = r"figure1 row worker ended with exit status 1 before sending group \(k=3, m=102\.\.200\)"
         with pytest.raises(InternalConsistencyError, match=message):
@@ -745,12 +780,12 @@ class TestFigure1Worker:
             os.write(write_fd, sent.encode())
             os._exit(0)
 
-        monkeypatch.setattr(cli, "_row_worker", stub)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_figure1, "_row_worker", stub)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         got = []
         message = r"t row worker ended with exit status 0 before sending group \(b\)"
         with pytest.raises(InternalConsistencyError, match=message):
-            for spelled in cli._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str, "t"):
+            for spelled in _figure1._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str, "t"):
                 got.append(spelled)
         assert got == received and no_child_left()
 
@@ -764,8 +799,8 @@ class TestFigure1Worker:
         def timed_out(signum, frame):
             raise TimeoutError("the worker's first group did not arrive")
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        rows = cli._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str, "t")
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
+        rows = _figure1._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str, "t")
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(5)
         try:
@@ -779,7 +814,7 @@ class TestFigure1Worker:
     def test_reader_gone_mid_table_is_141(self, capfd, monkeypatch, forks, tmp_path):
         # the reader leaves after 1,000 bytes while the worker still has
         # groups to send; it must be killed and reaped, and say nothing
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         raw = ShortWriter(gone=True, fd=fd)
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
@@ -794,11 +829,11 @@ class TestFigure1Worker:
     def test_emit_reaps_the_worker_before_it_raises(self, monkeypatch, forks):
         # the traceback keeps _emit's frame, and so its row iterator, alive:
         # garbage collection cannot be what reaps the worker
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ShortWriter(gone=True), write_through=True))
         args = cli.build_parser().parse_args(["figure1", "--k-to", "40"])
         with pytest.raises(BrokenPipeError) as caught:
-            cli._emit(args, *args.handler(args))
+            _table._emit(args, *args.handler(args))
         assert len(forks) == 1 and no_child_left()
         assert caught.traceback  # still held here
 
@@ -845,7 +880,7 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
     def test_csv_written_in_blocks(self, monkeypatch, cpus):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: cpus)
         writes = []
         monkeypatch.setattr(sys, "stdout", text_stdout(writes))
         assert main(["figure1", "--k-to", "12"]) == 0
@@ -895,8 +930,8 @@ class TestOutputContract:
     ], ids=" ".join)
     def test_template_matches_per_cell_spelling(self, capsys, monkeypatch, argv):
         _, templated, _ = run_cli(capsys, *argv)
-        spellings = cli._spellings  # (CSV, JSON, CSV template, JSON template) per kind
-        monkeypatch.setattr(cli, "_spellings", lambda digits: {
+        spellings = _table._spellings  # (CSV, JSON, CSV template, JSON template) per kind
+        monkeypatch.setattr(_table, "_spellings", lambda digits: {
             kind: (*spelling[:2], None, None) for kind, spelling in spellings(digits).items()})
         _, per_cell, _ = run_cli(capsys, *argv)
         lines = zip(templated.splitlines(), per_cell.splitlines(), strict=True)
