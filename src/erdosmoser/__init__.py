@@ -11,7 +11,7 @@ CSV/JSON datasets.
 The package exports each library module's ``__all__`` and imports a
 module only when one of its names is first looked up (PEP 562), so a CLI
 run loads just the modules its subcommand uses.  A submodule name such as
-``cli`` resolves to the submodule alone.
+``cli`` resolves to the submodule alone, and a private name imports nothing.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +30,10 @@ def __getattr__(name: str):
     if name == "__all__":
         value = [public for module in _MODULES for public in _module(module).__all__]
     else:
-        owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        # no __all__ holds a private name (a private submodule, or a probe such
+        # as __wrapped__), so none is searched and nothing is imported
+        modules = () if name.startswith("_") else map(_module, _MODULES)
+        owner = next((m for m in modules if name in m.__all__), None)
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         value = getattr(owner, name)

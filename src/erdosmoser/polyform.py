@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .powersum import _require_exponent, eml_terms
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "eml_multiplier",
     "eval_poly",
     "full_eml_poly",
-    "quotient_poly",
 ]
 
 
@@ -120,23 +119,6 @@ def cleared_value(k: int, m: int) -> int:
     """
     positive, negative = cleared_groups(k, m)
     return positive - negative + k - 1
-
-
-def quotient_poly(k: int) -> IntPoly:
-    """The cleared polynomial divided by m, for odd k >= 3.
-
-    Odd k makes the constant term vanish, so the quotient is again an
-    integer polynomial; its constant term is the original linear
-    coefficient (k+1)(k-2) and its leading coefficient stays 2.
-    """
-    if k % 2 == 0:
-        raise DomainError(f"quotient by m undefined for even k (constant term 2(k-1) != 0), got {k}")
-    if k < 3:
-        raise DomainError(f"quotient requires odd k >= 3, got {k}")
-    poly = cleared_poly(k).poly
-    if poly.coeffs[0] != 0:
-        raise InternalConsistencyError(f"constant term {poly.coeffs[0]} != 0 for odd k={k}")
-    return IntPoly(poly.coeffs[1:])
 
 
 def eml_multiplier(k: int) -> int:

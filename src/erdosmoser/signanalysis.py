@@ -32,7 +32,6 @@ __all__ = [
     "case_point",
     "dominance_ratio",
     "dominance_series",
-    "sign_at",
     "sign_candidates",
     "sign_reports",
     "sign_summary",
@@ -99,17 +98,6 @@ class RatioSeries(NamedTuple):
     decreasing_from_start: bool
 
 
-def sign_at(k: int, m0: int, case: Optional[CaseKind] = FULL_SET) -> SignReport:
-    """Evaluate the cleared polynomial's closed form at integer m0 and
-    classify the sign."""
-    if k < 2:
-        raise DomainError(f"sign analysis requires k >= 2, got {k}")
-    if m0 < 3:
-        raise DomainError(f"candidates are constrained to m0 >= 3, got {m0}")
-    value = cleared_value(k, m0)
-    return SignReport(k, m0, case, value, Sign.of(value))
-
-
 def sign_candidates(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
     """The integer candidates >= 3 of every k in 2..k_max, enumerated
     within ``budget``: the part of :func:`sign_summary` that can fail, done
@@ -168,9 +156,10 @@ def _log_ratio(k: int, m0: int) -> float:
 
 
 def case_point(k: int, case: CaseKind) -> tuple[SignReport, float]:
-    """``(sign_at(k, m0, case), dominance_ratio(k, case).value)`` at
-    m0 = ``case.candidate(k)``, both from one :func:`cleared_groups` call
-    and with no Fraction built at any k."""
+    """The case's report at m0 = ``case.candidate(k)``, as
+    :func:`sign_reports` gives it, and ``dominance_ratio(k, case).value``,
+    both from one :func:`cleared_groups` call and with no Fraction built at
+    any k."""
     m0 = case.candidate(k)
     positive, negative = cleared_groups(k, m0)
     value = positive - negative + k - 1

@@ -9,16 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from erdosmoser.candidates import CaseKind, candidate_roots, highlighted_candidates
+from erdosmoser.candidates import CaseKind, _constant_term, integer_candidates
 from erdosmoser.cli import main
-from erdosmoser.polyform import cleared_poly, eval_poly, full_eml_poly, quotient_poly
+from erdosmoser.polyform import cleared_poly, eval_poly, full_eml_poly
 from erdosmoser.powersum import PowerSumQuery, sum_direct, sum_eml_exact
 from erdosmoser.search import SearchHit, find_solutions
 from erdosmoser.signanalysis import (
+    FULL_SET,
     Sign,
+    case_point,
     dominance_ratio,
     dominance_series,
-    sign_at,
+    sign_reports,
     sign_threshold,
 )
 
@@ -114,27 +116,31 @@ EXPECTED_SIGN = {
 
 
 def test_criterion_05_sign_table_and_no_vanishing():
+    # the reports `signs` prints, and each named case as `figure2` prints it
     ok = True
     for k in range(2, 201):
-        for case, m0 in highlighted_candidates(k):
-            if sign_at(k, m0, case).sign is not EXPECTED_SIGN[case](k):
-                ok = False
-        for m0 in candidate_roots(k).integer_candidates_ge3:
-            if sign_at(k, m0).sign is Sign.ZERO:
-                ok = False
+        reports = sign_reports(k, integer_candidates(k))
+        named = [r for r in reports if r.case is not FULL_SET]
+        ok = ok and all(r.sign is not Sign.ZERO for r in reports)
+        ok = ok and all(r.sign is EXPECTED_SIGN[r.case](k) for r in named)
+        ok = ok and [case_point(k, r.case)[0] for r in named] == named
     report(5, "sign table reproduced, no zero to k=200", ok)
 
 
 def test_criterion_06_coefficient_laws():
+    # odd k: m factors out, and the quotient's constant is a1; the leading
+    # coefficient 2 is shared.  The candidates command factors that constant.
     ok = True
     for k in range(2, 201):
-        a0, a1 = cleared_poly(k).poly.coeffs[:2]
+        coeffs = cleared_poly(k).poly.coeffs
+        a0, a1 = coeffs[:2]
         if k % 2 == 0:
             ok = ok and a0 == 2 * (k - 1)
         else:
             ok = ok and a0 == 0
             ok = ok and a1 == (k + 1) * (k - 2)
-            ok = ok and quotient_poly(k).coeffs[0] == (k + 1) * (k - 2)
+        ok = ok and coeffs[-1] == 2
+        ok = ok and _constant_term(k)[0] == (a0 if k % 2 == 0 else a1)
     report(6, "constant/linear coefficient laws to k=200", ok)
 
 

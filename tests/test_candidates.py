@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from erdosmoser.candidates import (
     CaseKind,
     Source,
+    _constant_term,
     candidate_roots,
     highlighted_candidates,
     integer_candidates,
 )
 from erdosmoser.arith import DivisorBudget
 from erdosmoser.errors import BudgetExceededError, DomainError
-from erdosmoser.polyform import cleared_poly, eval_poly, quotient_poly
+from erdosmoser.polyform import cleared_poly, eval_poly
 
 
 class TestCaseKind:
@@ -100,14 +101,13 @@ class TestCandidateRoots:
     @settings(max_examples=60, deadline=None)
     def test_divisibility_recheck_from_expansion(self, k):
         # construction-independent: read the constant term off the actual
-        # polynomial (cleared for even k, quotient for odd) and re-check
-        # the divisibility conditions for every enumerated candidate.
-        if k % 2 == 0:
-            constant = cleared_poly(k).poly.coeffs[0]
-            leading = cleared_poly(k).poly.coeffs[-1]
-        else:
-            constant = quotient_poly(k).coeffs[0]
-            leading = quotient_poly(k).coeffs[-1]
+        # polynomial (cleared for even k; for odd k, its quotient by m,
+        # whose constant is the linear coefficient) and re-check the
+        # divisibility conditions for every enumerated candidate.
+        coeffs = cleared_poly(k).poly.coeffs
+        constant = coeffs[0] if k % 2 == 0 else coeffs[1]
+        leading = coeffs[-1]
+        assert _constant_term(k)[0] == constant
         cs = candidate_roots(k)
         for c in cs.all_candidates:
             assert c > 0

@@ -158,6 +158,27 @@ def test_import_loads_only_what_the_parser_needs():
         assert not loaded & {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, statement
 
 
+LIBRARY_MODULES = {f"erdosmoser.{name}" for name in
+                   ("approx", "arith", "candidates", "errors", "polyform", "powersum", "search", "signanalysis")}
+
+
+@pytest.mark.parametrize("statement, present", [
+    ("from erdosmoser import _table", {"erdosmoser._table"}),
+    # inspect and doctest probe a module this way
+    ("import erdosmoser; assert not hasattr(erdosmoser, '__wrapped__')", {"erdosmoser"}),
+], ids=["from-import", "probe"])
+def test_private_names_load_no_library_module(statement, present):
+    # no module's __all__ holds a private name, so the package's __getattr__
+    # refuses one without importing them, and a from-import falls back to
+    # the submodule alone
+    code = f"import sys; {statement}; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert present <= loaded and not loaded & {"fractions", "decimal", *LIBRARY_MODULES}
+
+
 # A cold run without cached bytecode compiles every module it loads, and
 # that compile can set the run's peak memory, so each run loads only its own
 # handler's module; the present sets keep the absent ones from passing

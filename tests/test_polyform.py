@@ -15,7 +15,6 @@ from erdosmoser.polyform import (
     eml_multiplier,
     eval_poly,
     full_eml_poly,
-    quotient_poly,
 )
 from erdosmoser.powersum import PowerSumQuery, eml_terms, sum_direct
 
@@ -144,23 +143,22 @@ class TestClearedValue:
 
 
 class TestQuotientPoly:
+    # for odd k the constant term vanishes, and the quotient by m, whose
+    # rational roots the candidates are, is coeffs[1:]
     def test_k3(self):
-        assert quotient_poly(3).coeffs == (4, 0, -12, 2)  # 2m^3 - 12m^2 + 4
+        assert cleared_poly(3).poly.coeffs == (0, 4, 0, -12, 2)  # m(2m^3 - 12m^2 + 4)
 
     def test_k5_constant(self):
-        assert quotient_poly(5).coeffs[0] == 6 * 3  # (k+1)(k-2)
-
-    def test_even_k_rejected(self):
-        with pytest.raises(DomainError):
-            quotient_poly(4)
+        assert cleared_poly(5).poly.coeffs[1] == 6 * 3  # (k+1)(k-2)
 
     def test_shift_identity(self):
-        # m * quotient == cleared polynomial, for all odd k in [3, 99]
+        # m factors out for all odd k in [3, 99], leaving the quotient's
+        # constant (k+1)(k-2) and leading coefficient 2
         for k in range(3, 100, 2):
-            q = quotient_poly(k)
-            assert (0,) + q.coeffs == cleared_poly(k).poly.coeffs
-            assert q.coeffs[0] == (k + 1) * (k - 2)
-            assert q.coeffs[-1] == 2
+            coeffs = cleared_poly(k).poly.coeffs
+            assert coeffs[0] == 0
+            assert coeffs[1] == (k + 1) * (k - 2)
+            assert coeffs[-1] == 2
 
 
 class TestFullEmlPoly:

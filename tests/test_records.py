@@ -24,14 +24,15 @@ from erdosmoser import (
     dominance_ratio,
     dominance_series,
     eval_poly,
-    sign_at,
+    integer_candidates,
+    sign_reports,
 )
 
 RECORDS = {
     CandidateSet: candidate_roots(4),
     ClearedPoly: cleared_poly(4),
     SearchHit: SearchHit(1, 3),
-    SignReport: sign_at(4, 5),
+    SignReport: sign_reports(4, integer_candidates(4))[-1],
     RatioPoint: dominance_ratio(4, CaseKind.EVEN_KM1),
     RatioSeries: dominance_series(CaseKind.EVEN_KM1, 4, 8),
     PowerSumQuery: PowerSumQuery(3, 2),

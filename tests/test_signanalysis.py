@@ -12,10 +12,10 @@ from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
     FULL_SET,
     Sign,
+    SignReport,
     case_point,
     dominance_ratio,
     dominance_series,
-    sign_at,
     sign_candidates,
     sign_reports,
     sign_summary,
@@ -23,21 +23,23 @@ from erdosmoser.signanalysis import (
 )
 
 
-class TestSignAt:
+class TestSignReports:
     def test_reference_values(self):
-        r = sign_at(4, 3)
-        assert r.value == -663 and r.sign is Sign.NEG
-        r = sign_at(4, 6)
-        assert r.value == -3582 and r.sign is Sign.NEG
+        # k = 4's named cases, then its integer candidates, which repeat them
+        reports = sign_reports(4, (3, 6))
+        assert [(r.case, r.m0, r.value, r.sign) for r in reports] == [
+            (CaseKind.EVEN_KM1, 3, -663, Sign.NEG),
+            (CaseKind.EVEN_2KM1, 6, -3582, Sign.NEG),
+            (FULL_SET, 3, -663, Sign.NEG),
+            (FULL_SET, 6, -3582, Sign.NEG),
+        ]
 
     def test_flip_side(self):
-        assert sign_at(8, 14).sign is Sign.POS
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sign_at(1, 3)
-        with pytest.raises(DomainError):
-            sign_at(4, 2)
+        reports = sign_reports(8, ())
+        assert [(r.case, r.m0, r.sign) for r in reports] == [
+            (CaseKind.EVEN_KM1, 7, Sign.NEG),
+            (CaseKind.EVEN_2KM1, 14, Sign.POS),
+        ]
 
 
 class TestSignSummary:
@@ -75,9 +77,10 @@ class TestSignSummary:
         monkeypatch.undo()
         assert set(calls.values()) == {1}
         assert set(calls) == {(r.k, r.m0) for r in reports}
-        oracle = [sign_at(k, m0, case) for k in range(2, 61)
+        oracle = [SignReport(k, m0, case, value, Sign.of(value)) for k in range(2, 61)
                   for case, m0 in highlighted_candidates(k)
-                  + [(FULL_SET, m0) for m0 in candidate_roots(k).integer_candidates_ge3]]
+                  + [(FULL_SET, m0) for m0 in candidate_roots(k).integer_candidates_ge3]
+                  for value in [cleared_value(k, m0)]]
         assert reports == oracle
 
     def test_summary_is_its_per_k_step(self):
@@ -220,10 +223,11 @@ class TestRatioAgainstHandDerivedParts:
 class TestCasePoint:
     @pytest.mark.parametrize("case", list(CaseKind), ids=lambda c: c.name)
     def test_matches_sign_at_and_ratio(self, case):
-        # floats compared with ==, so both sides of the exact cutoff match bit for bit
+        # the case's report from sign_reports, as signs prints it; floats
+        # compared with ==, so both sides of the exact cutoff match bit for bit
         for k in range(case.min_k, 2003, 2):
-            want = (sign_at(k, case.candidate(k), case), dominance_ratio(k, case).value)
-            assert case_point(k, case) == want, k
+            report = next(r for r in sign_reports(k, ()) if r.case is case)
+            assert case_point(k, case) == (report, dominance_ratio(k, case).value), k
 
     def test_one_closed_form_call(self, monkeypatch):
         calls = []
