@@ -84,8 +84,8 @@ def sum_eml_truncated(arg: RealArg, k: int, p: int) -> Fraction:
 
     p counts included correction terms (r = 1..p); p = 0 reproduces
     :func:`sum_eml_leading`.  Terms whose derivative order exceeds k
-    contribute nothing, so any p >= floor(k/2) yields the full expansion,
-    which at integer m equals the direct sum.
+    contribute nothing, so any p >= floor(k/2) yields the full expansion
+    (:func:`erdosmoser.powersum.sum_eml_exact`), the direct sum at integer m.
     """
     _require_exponent(k)
     if p < 0:

@@ -86,17 +86,16 @@ class ClearedPoly(NamedTuple):
 def cleared_poly(k: int) -> ClearedPoly:
     """2(m-1)^{k+1} + (k+1)(m-1)^k - 2(k+1) m^k + (k-1), fully expanded.
 
-    Degree k + 1, leading coefficient 2.  The constant term is 2(k-1) for
-    even k and 0 for odd k (so m factors out in the odd case).  Build it
-    only where the coefficients are the result; nothing is cached.  A value
-    at integer m comes cheaper from :func:`cleared_value`.
+    Since (k+1) C(k, i) = (k+1-i) C(k+1, i), the two binomial expansions
+    sum to c_i = (-1)^{k+1-i} (i+1-k) C(k+1, i), one binomial per
+    coefficient, before -2(k+1) m^k and k-1 are added.  Degree k + 1,
+    leading coefficient 2, and c_{k-1} = 0 for every k.  The constant term
+    is 2(k-1) for even k and 0 for odd k (so m factors out in the odd case).
+    Build it only where the coefficients are the result; nothing is cached.
+    A value at integer m comes cheaper from :func:`cleared_value`.
     """
     _require_exponent(k)
-    c = [0] * (k + 2)
-    for i in range(k + 2):
-        c[i] += 2 * math.comb(k + 1, i) * (-1) ** (k + 1 - i)
-    for i in range(k + 1):
-        c[i] += (k + 1) * math.comb(k, i) * (-1) ** (k - i)
+    c = [(-1) ** (k + 1 - i) * (i + 1 - k) * math.comb(k + 1, i) for i in range(k + 2)]
     c[k] -= 2 * (k + 1)
     c[0] += k - 1
     return ClearedPoly(IntPoly(tuple(c)), k, 2 * (k + 1))

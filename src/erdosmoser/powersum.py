@@ -3,7 +3,8 @@
 ``sum_direct`` is the literal summation that every other result in this
 package is checked against.  ``sum_eml_exact`` evaluates the full
 Euler-Maclaurin expansion of the same sum -- integral, boundary term, and
-every non-vanishing Bernoulli correction -- in exact rationals.  For a
+every non-vanishing Bernoulli correction -- in exact rationals, as the
+truncation of :mod:`erdosmoser.approx` that keeps all floor(k/2) terms.  For a
 polynomial summand the remainder vanishes identically, so the two must
 agree exactly, integer for integer.
 """
@@ -60,24 +61,18 @@ def sum_direct(q: PowerSumQuery) -> int:
 
 
 def sum_eml_exact(q: PowerSumQuery) -> Fraction:
-    """Full Euler-Maclaurin expansion of the power sum, evaluated exactly::
-
-        integral_1^n x^k dx  +  (1^k + n^k)/2
-          + sum_{r=1}^{floor(k/2)}  B_{2r}/(2r)! * k_(2r-1) * (n^{k-(2r-1)} - 1)
-
-    with the corrections from :func:`eml_terms`.  The result is always
-    integer-valued (denominator 1); anything else is a bug and raises
-    :class:`InternalConsistencyError`.
+    """Full Euler-Maclaurin expansion of the power sum, evaluated exactly:
+    :func:`erdosmoser.approx.sum_eml_truncated` at m = n + 1 with all
+    p = floor(k/2) corrections, the truncation past which every term
+    vanishes.  The result is always integer-valued (denominator 1);
+    anything else is a bug and raises :class:`InternalConsistencyError`.
     """
     if q.n < 1:
         raise DomainError("expansion requires n >= 1 (integral lower bound is 1)")
-    from fractions import Fraction
-    n, k = q.n, q.k
-    total = Fraction(n ** (k + 1) - 1, k + 1) + Fraction(1 + n**k, 2)
-    for e, weight in eml_terms(k):
-        total += weight * (n**e - 1)
+    from .approx import RealArg, sum_eml_truncated
+    total = sum_eml_truncated(RealArg(q.n + 1), q.k, q.k // 2)
     if total.denominator != 1:
         raise InternalConsistencyError(
-            f"expansion for n={n}, k={k} is not an integer: {total}"
+            f"expansion for n={q.n}, k={q.k} is not an integer: {total}"
         )
     return total

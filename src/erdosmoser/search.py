@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalConsistencyError
 from .powersum import PowerSumQuery, sum_direct
 
-__all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_crossing", "sign_threshold"]
+__all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_crossing"]
 
 
 class SearchHit(NamedTuple):
@@ -52,12 +52,6 @@ def sign_crossing(k: int) -> int:
         raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
     m, diff = found
     return m if diff > 0 else m + 1
-
-
-def sign_threshold(k: int) -> tuple[Fraction, int]:
-    """(predicted crossing 3(k+1)/2, :func:`sign_crossing`)."""
-    from fractions import Fraction
-    return Fraction(3 * (k + 1), 2), sign_crossing(k)
 
 
 def find_solutions(

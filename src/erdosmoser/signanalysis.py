@@ -1,5 +1,7 @@
-"""Exact sign evaluation at candidate roots and the per-case dominance
-ratios with their limits; the sign crossing is in :mod:`erdosmoser.search`.
+"""Exact sign evaluation at candidate roots, the per-case dominance
+ratios with their limits, and the predicted sign crossing next to the
+exact one (:func:`sign_threshold`, which locates it with
+:func:`erdosmoser.search.sign_crossing`).
 
 Values come from the integer closed form of the cleared polynomial
 (``polyform.cleared_value``), never from floats; the expanded polynomial
@@ -21,7 +23,6 @@ from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, highlighted_candidates, integer_candidates
 from .errors import DomainError
 from .polyform import cleared_groups, cleared_value
-from .search import sign_threshold  # noqa: F401  not in __all__; perfbench/tracer.py imports it here
 
 __all__ = [
     "FULL_SET",
@@ -35,6 +36,7 @@ __all__ = [
     "sign_candidates",
     "sign_reports",
     "sign_summary",
+    "sign_threshold",
 ]
 
 #: Marker for sign reports coming from the full enumerated divisor set
@@ -191,3 +193,10 @@ def _strictly_less(b: RatioPoint, a: RatioPoint) -> bool:
     if a.exact is not None and b.exact is not None:
         return b.exact < a.exact
     return b.value < a.value
+
+
+def sign_threshold(k: int) -> tuple[Fraction, int]:
+    """(predicted crossing 3(k+1)/2, :func:`erdosmoser.search.sign_crossing`)."""
+    from fractions import Fraction
+    from .search import sign_crossing
+    return Fraction(3 * (k + 1), 2), sign_crossing(k)

@@ -187,14 +187,15 @@ FOOTPRINTS = [  # argv, modules it must not load, modules it must load
     (["--version"], {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, set()),
     (["figure1", "--k-to", "3"], {"fractions", "decimal"}, {"erdosmoser._figure1"}),
     (["signs", "--k-max", "10", "--format", "json"],
-     {"fractions", "decimal", "erdosmoser._figure1"}, {"erdosmoser._commands"}),
+     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser.search"}, {"erdosmoser._commands"}),
     (["search", "--k", "1..5", "--m", "3..50"],
      {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser._commands"}, {"erdosmoser._crossing"}),
     (["threshold", "--k", "5"],
      {"fractions", "decimal", "erdosmoser.signanalysis", "erdosmoser.polyform", "erdosmoser._figure1",
       "erdosmoser._commands"}, {"erdosmoser.search", "erdosmoser._crossing"}),
     (["figure2", "--k-to", "8"],
-     {"fractions", "decimal", "erdosmoser._figure1"}, {"erdosmoser.signanalysis", "erdosmoser._commands"}),
+     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser.search"},
+     {"erdosmoser.signanalysis", "erdosmoser._commands"}),
     (["approx", "--k", "3", "--m", "7/2"], set(), {"fractions"}),  # so the others cannot pass vacuously
 ]
 

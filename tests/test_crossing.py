@@ -85,11 +85,13 @@ def test_search_matches_full_range_scan(k_range, m_range):
 
 
 def test_crossing_has_one_home():
-    # search owns it; signanalysis and the package hand back the same function
-    assert search.sign_threshold is signanalysis.sign_threshold is erdosmoser.sign_threshold
+    # signanalysis owns it and the package hands back the same function;
+    # search keeps only the exact crossing it calls
+    assert signanalysis.sign_threshold is erdosmoser.sign_threshold
+    assert not hasattr(search, "sign_threshold")
     owners = [name for name in erdosmoser._MODULES
               if "sign_threshold" in getattr(erdosmoser, name).__all__]
-    assert owners == ["search"]
+    assert owners == ["signanalysis"]
 
 
 class TestFirstNonnegative:

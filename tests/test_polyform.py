@@ -35,6 +35,20 @@ def reference_full_eml_poly(k):
     return IntPoly(int(c) for c in cleared)
 
 
+def reference_cleared_poly(k):
+    """cleared_poly built the long way, kept as an oracle: 2(m-1)^{k+1}
+    and (k+1)(m-1)^k expanded by two binomial loops, then -2(k+1) m^k and
+    k - 1 added."""
+    c = [0] * (k + 2)
+    for i in range(k + 2):
+        c[i] += 2 * math.comb(k + 1, i) * (-1) ** (k + 1 - i)
+    for i in range(k + 1):
+        c[i] += (k + 1) * math.comb(k, i) * (-1) ** (k - i)
+    c[k] -= 2 * (k + 1)
+    c[0] += k - 1
+    return tuple(c)
+
+
 class TestIntPoly:
     def test_normalization(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -109,6 +123,25 @@ class TestCoefficientLaws:
         for k in range(2, 201):
             a0, _ = cleared_poly(k).poly.coeffs[:2]
             assert a0 == (2 * (k - 1) if k % 2 == 0 else 0), k
+
+    def test_matches_two_loop_expansion_to_300(self):
+        # equal as ints: a float such as 2.0 would pass == but not the type check
+        for k in range(1, 301):
+            coeffs = cleared_poly(k).poly.coeffs
+            assert coeffs == reference_cleared_poly(k), k
+            assert all(type(c) is int for c in coeffs), k
+
+    def test_closed_form_laws_to_300(self):
+        for k in range(1, 301):
+            c = cleared_poly(k).poly.coeffs
+            assert len(c) == k + 2, k
+            assert c[k + 1] == 2 and c[k] == -3 * (k + 1), k
+            assert c[0] == (2 * (k - 1) if k % 2 == 0 else 0), k
+            if k >= 2:
+                assert c[k - 1] == 0, k
+                assert c[1] == (k + 1) * (k - 2) * (-1 if k % 2 == 0 else 1), k
+            if k >= 3:
+                assert c[k - 2] == math.comb(k + 1, 3), k
 
 
 class TestClearedValue:
