@@ -5,8 +5,9 @@ rows as tuples in that order.  A cell is an int, text (an exact integer
 or num/den string, or an enum name), a float (printed to --digits
 significant digits) or a bool (true/false); None is an absent cell, empty
 in CSV and null in JSON.  Both formats go out in blocks of about 64 KB as
-rows are computed, each written until stdout has taken every byte; JSON is
-still one object, byte for byte what ``json.dumps`` gives for it.
+rows are computed, each built once as the bytes it writes and written until
+stdout has taken every byte; JSON is still one object, byte for byte what
+``json.dumps`` gives for it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     need JSON escaping.  ``rows`` is an iterable of rows, spelled here in
     order, or figure1's dict of independent row groups, which
     ``_figure1._spelled`` may spell in two processes; either way the block
-    loop reads one iterator of spelled rows, so the blocks are the same."""
+    loop reads one iterator of spelled rows, so the blocks are the same.
+    Each block is one bytearray, each spelled row encoded onto it after its
+    separator, so a block is held once: never as text, joined or encoded
+    whole."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     names = [name for name, _ in columns]
     json_out = args.format == "json"
@@ -81,8 +85,9 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         envelope = json.dumps(
             {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params, "rows": []}
         )
-        # opened at the empty "rows" list, closed by its "]}"
-        text, block, sep, end = envelope[:-2], [], ", ", envelope[-2:] + "\n"
+        # opened at the empty "rows" list, closed by its "]}"; the first row
+        # object follows the "[" directly
+        head, gap, sep, end = envelope[:-2].encode(), b"", b", ", envelope[-2:].encode() + b"\n"
         template = None if None in pieces else "{%s}" % ", ".join(
             f"{json.dumps(name)}: {piece}" for name, piece in zip(names, pieces))
 
@@ -90,7 +95,7 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
             cells = zip(names, spell, row, strict=True)
             return json.dumps({n: None if v is None else f(v) for n, f, v in cells})
     else:
-        text, block, sep, end = "", [",".join(names)], "\n", "\n"
+        head, gap, sep, end = ",".join(names).encode(), b"\n", b"\n", b"\n"
         template = None if None in pieces else ",".join(pieces)
 
         def per_cell(row):
@@ -105,10 +110,10 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         return per_cell(row)
     out = getattr(sys.stdout, "buffer", None)  # a text-only sink has none
 
-    def write(part):
+    def write(block):
         if out is None:
-            return sys.stdout.write(part)
-        data = memoryview(part.encode())
+            return sys.stdout.write(block.decode())
+        data = memoryview(block)
         while data:  # once the reader has gone, this raises BrokenPipeError
             data = data[out.write(data):]
     sys.stdout.flush()  # text written before must come first
@@ -118,13 +123,17 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     else:
         lines = (line(row) for row in rows)
     try:
-        size = 0
+        # a new bytearray per block: one that a memoryview still exports
+        # cannot be resized
+        block, size = bytearray(head), 0
         for spelled in lines:
+            block += gap
             if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
-                write(text + sep.join(block) + sep)
-                text, block, size = "", [], 0
-            block.append(spelled)
-            size += len(spelled) + len(sep)
-        write(text + sep.join(block) + end)
+                write(block)
+                block, size = bytearray(), 0
+            block += spelled.encode()
+            gap, size = sep, size + len(spelled) + len(sep)
+        block += end
+        write(block)
     finally:
         lines.close()  # reaps a row worker even when a write failed

@@ -5,12 +5,15 @@ columns --exact/--no-exact, those that factor --trial-budget, and search
 --jobs.  Any other flag is a usage error.
 
 A run compiles and loads only what its subcommand runs.  This module is the
-parser and ``main``; each subcommand names the private module that holds
-its handler ``_cmd_<name>``, imported when the handler is called:
-``_crossing`` for search and threshold, ``_figure1`` for figure1 and
-``_commands`` for the other seven.  The table writer, ``_table``, is
-imported once the handler has returned, and ``fractions`` loads only where
-a Fraction is built.
+parser and ``main``, and of this package it loads only ``errors``: a
+subcommand's arguments are declared when argparse dispatches to it, so
+``arith``'s default budget is read only by candidates and signs and the
+case names of ``candidates`` only by ratios.  Each subcommand names the
+private module that holds its handler ``_cmd_<name>``, imported when the
+handler is called: ``_crossing`` for search and threshold, ``_figure1`` for
+figure1 and ``_commands`` for the other seven.  The table writer,
+``_table``, is imported once the handler has returned, and ``fractions``
+loads only where a Fraction is built.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 factorization
 budget exceeded, 141 (128 + SIGPIPE) stdout closed by the reader before
@@ -28,8 +31,6 @@ import threading
 from importlib import import_module
 
 from . import __version__
-from .arith import DEFAULT_BUDGET
-from .candidates import CaseKind
 from .errors import BudgetExceededError, DomainError
 
 
@@ -39,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    command = None  # a subcommand's name until its arguments are declared
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.command:  # argparse has dispatched to this subcommand
+            _declare(self, self.command)
+            self.command = None
+        return super().parse_known_args(args, namespace)
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -57,80 +66,86 @@ def _fraction_arg(text: str) -> fractions.Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 7/2 or 3.5, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt, digits, exact, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    fmt.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format (default: csv)")
-    digits.add_argument("--digits", type=int, default=6,
-                        help="decimal digits for float columns (default: 6)")
-    exact.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
-                       help="emit exact value columns alongside floats")
-    budget.add_argument("--trial-budget", type=int, default=DEFAULT_BUDGET.max_trial,
-                        help="largest trial divisor attempted when factoring")
+# Each subcommand: the module holding its handler, the shared flags it
+# reads besides --format, and its help line.
+_COMMANDS = {
+    "sum": ("_commands", (), "direct power sum and its full expansion at integer m"),
+    "approx": ("_commands", ("digits", "exact"), "truncated approximants at a rational point m"),
+    "poly": ("_commands", (), "cleared polynomial coefficients"),
+    "candidates": ("_commands", ("budget",), "rational-root candidates for one exponent"),
+    "signs": ("_commands", ("budget",), "exact signs at all candidates up to a k bound"),
+    "ratios": ("_commands", ("digits", "exact"), "dominance-ratio series for one case"),
+    "threshold": ("_crossing", ("digits",), "predicted and exact sign-crossing point"),
+    "search": ("_crossing", (), "brute-force scan for exact solutions"),
+    "figure1": ("_figure1", ("digits", "exact"), "sum/approximant/difference grid over (k, m)"),
+    "figure2": ("_commands", ("digits", "exact"), "per-case candidate values, signs and ratios over k"),
+}
 
+
+def _declare(p: argparse.ArgumentParser, name: str) -> None:
+    """Declare subcommand ``name``'s arguments on its parser ``p``: the
+    shared flags first, in the order --format, --digits, --exact,
+    --trial-budget, then its own."""
+    shared = _COMMANDS[name][1]
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default: csv)")
+    if "digits" in shared:
+        p.add_argument("--digits", type=int, default=6,
+                       help="decimal digits for float columns (default: 6)")
+    if "exact" in shared:
+        p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
+                       help="emit exact value columns alongside floats")
+    if "budget" in shared:
+        from .arith import DEFAULT_BUDGET
+        p.add_argument("--trial-budget", type=int, default=DEFAULT_BUDGET.max_trial,
+                       help="largest trial divisor attempted when factoring")
+
+    if name in ("sum", "approx", "poly", "candidates", "threshold"):
+        p.add_argument("--k", type=int, required=True)
+    if name == "sum":
+        p.add_argument("--m", type=int, required=True)
+    elif name == "approx":
+        p.add_argument("--m", type=_fraction_arg, required=True, metavar="RAT")
+        p.add_argument("--p", type=int, default=None, help="correction terms to include")
+    elif name == "poly":
+        p.add_argument("--full-eml", action="store_true",
+                       help="full-expansion polynomial instead of the truncated form")
+    elif name == "signs":
+        p.add_argument("--k-max", type=int, required=True)
+    elif name == "ratios":
+        from .candidates import CaseKind
+        p.add_argument("--case", choices=[c.name for c in CaseKind], required=True)
+        p.add_argument("--k-from", type=int, required=True)
+        p.add_argument("--k-to", type=int, required=True)
+        p.add_argument("--step", type=int, default=2)
+    elif name == "search":
+        p.add_argument("--k", type=_range_arg, required=True, metavar="LO..HI")
+        p.add_argument("--m", type=_range_arg, required=True, metavar="LO..HI")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="shard count; must be >= 1, the scan runs serially and "
+                       "output never depends on it (default: 1)")
+    elif name == "figure1":
+        p.add_argument("--k-from", type=int, default=2)
+        p.add_argument("--k-to", type=int, default=102)
+        p.add_argument("--m-from", type=int, default=3)
+        p.add_argument("--m-to", type=int, default=200)
+    elif name == "figure2":
+        p.add_argument("--k-to", type=int, required=True)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="erdosmoser",
         description="Exact-arithmetic workbench for the Erdős–Moser power-sum equation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name, module, parents, help):
-        def handler(args):  # imports the handler's module only when it runs
-            return getattr(import_module(f"{__package__}.{module}"), f"_cmd_{name}")(args)
-        p = sub.add_parser(name, parents=parents, help=help)
+    for name, (module, _, help) in _COMMANDS.items():
+        def handler(args, module=module):  # imports the handler's module only when it runs
+            return getattr(import_module(f"{__package__}.{module}"), f"_cmd_{args.command}")(args)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("sum", "_commands", [fmt], "direct power sum and its full expansion at integer m")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = command("approx", "_commands", [fmt, digits, exact],
-                "truncated approximants at a rational point m")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=_fraction_arg, required=True, metavar="RAT")
-    p.add_argument("--p", type=int, default=None, help="correction terms to include")
-
-    p = command("poly", "_commands", [fmt], "cleared polynomial coefficients")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--full-eml", action="store_true",
-                   help="full-expansion polynomial instead of the truncated form")
-
-    p = command("candidates", "_commands", [fmt, budget],
-                "rational-root candidates for one exponent")
-    p.add_argument("--k", type=int, required=True)
-
-    p = command("signs", "_commands", [fmt, budget], "exact signs at all candidates up to a k bound")
-    p.add_argument("--k-max", type=int, required=True)
-
-    p = command("ratios", "_commands", [fmt, digits, exact], "dominance-ratio series for one case")
-    p.add_argument("--case", choices=[c.name for c in CaseKind], required=True)
-    p.add_argument("--k-from", type=int, required=True)
-    p.add_argument("--k-to", type=int, required=True)
-    p.add_argument("--step", type=int, default=2)
-
-    p = command("threshold", "_crossing", [fmt, digits], "predicted and exact sign-crossing point")
-    p.add_argument("--k", type=int, required=True)
-
-    p = command("search", "_crossing", [fmt], "brute-force scan for exact solutions")
-    p.add_argument("--k", type=_range_arg, required=True, metavar="LO..HI")
-    p.add_argument("--m", type=_range_arg, required=True, metavar="LO..HI")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="shard count; must be >= 1, the scan runs serially and "
-                   "output never depends on it (default: 1)")
-
-    p = command("figure1", "_figure1", [fmt, digits, exact],
-                "sum/approximant/difference grid over (k, m)")
-    p.add_argument("--k-from", type=int, default=2)
-    p.add_argument("--k-to", type=int, default=102)
-    p.add_argument("--m-from", type=int, default=3)
-    p.add_argument("--m-to", type=int, default=200)
-
-    p = command("figure2", "_commands", [fmt, digits, exact],
-                "per-case candidate values, signs and ratios over k")
-    p.add_argument("--k-to", type=int, required=True)
-
+        p.command = name
     return parser
 
 

@@ -15,7 +15,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arith import _even_bernoulli
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = ["PowerSumQuery", "eml_terms", "sum_direct", "sum_eml_exact"]
@@ -50,6 +49,7 @@ def eml_terms(k: int) -> Iterator[tuple[int, Fraction]]:
     derivative order above k vanish.  Lazy: taking the first p terms computes
     tangent numbers up to the next power of two >= p, capped at k/2.
     """
+    from .arith import _even_bernoulli  # so sum_direct's callers never load arith
     _require_exponent(k)
     for r, b in enumerate(_even_bernoulli(k // 2), 1):
         yield k - 2 * r + 1, b * math.perm(k, 2 * r - 1) / math.factorial(2 * r)

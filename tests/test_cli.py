@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -139,12 +140,14 @@ def test_import_leaves_heavy_modules_out():
 
 
 HANDLER_MODULES = {f"erdosmoser.{name}" for name in ("_commands", "_crossing", "_figure1")}
+LIBRARY_MODULES = {f"erdosmoser.{name}" for name in
+                   ("approx", "arith", "candidates", "errors", "polyform", "powersum", "search", "signanalysis")}
 
 
 def test_import_loads_only_what_the_parser_needs():
     # each handler's module imports the library modules it runs, and main
-    # imports the table writer; the parser needs arith (the default
-    # budget), candidates (the case names) and errors.
+    # imports the table writer; a subcommand's arguments are declared only
+    # when it is parsed, so the parser itself needs errors alone.
     # The from-import form goes through the package's __getattr__, which
     # must hand back the submodule without searching every module's __all__.
     for statement in ("import erdosmoser.cli", "from erdosmoser import cli"):
@@ -153,13 +156,8 @@ def test_import_loads_only_what_the_parser_needs():
                              capture_output=True, text=True, timeout=120).stdout
         loaded = set(out.split())
         assert "erdosmoser.cli" in loaded, statement
-        assert not loaded & {f"erdosmoser.{name}" for name in
-                             ("approx", "polyform", "powersum", "search", "signanalysis")}, statement
+        assert loaded & LIBRARY_MODULES == {"erdosmoser.errors"}, statement
         assert not loaded & {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, statement
-
-
-LIBRARY_MODULES = {f"erdosmoser.{name}" for name in
-                   ("approx", "arith", "candidates", "errors", "polyform", "powersum", "search", "signanalysis")}
 
 
 @pytest.mark.parametrize("statement, present", [
@@ -182,17 +180,21 @@ def test_private_names_load_no_library_module(statement, present):
 # A cold run without cached bytecode compiles every module it loads, and
 # that compile can set the run's peak memory, so each run loads only its own
 # handler's module; the present sets keep the absent ones from passing
-# vacuously.
+# vacuously.  The parser loads DEFERRED only for the subcommands that read
+# it: the default budget for candidates and signs, the case names for ratios.
+DEFERRED = {"erdosmoser.arith", "erdosmoser.candidates"}
 FOOTPRINTS = [  # argv, modules it must not load, modules it must load
-    (["--version"], {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES}, set()),
-    (["figure1", "--k-to", "3"], {"fractions", "decimal"}, {"erdosmoser._figure1"}),
+    (["--version"], {"fractions", "decimal", "erdosmoser._table", *HANDLER_MODULES, *DEFERRED}, set()),
+    (["figure1", "--k-to", "3"], {"fractions", "decimal", *DEFERRED}, {"erdosmoser._figure1"}),
     (["signs", "--k-max", "10", "--format", "json"],
-     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser.search"}, {"erdosmoser._commands"}),
+     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser.search"},
+     {"erdosmoser._commands", *DEFERRED}),
     (["search", "--k", "1..5", "--m", "3..50"],
-     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser._commands"}, {"erdosmoser._crossing"}),
+     {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser._commands", *DEFERRED},
+     {"erdosmoser._crossing"}),
     (["threshold", "--k", "5"],
      {"fractions", "decimal", "erdosmoser.signanalysis", "erdosmoser.polyform", "erdosmoser._figure1",
-      "erdosmoser._commands"}, {"erdosmoser.search", "erdosmoser._crossing"}),
+      "erdosmoser._commands", *DEFERRED}, {"erdosmoser.search", "erdosmoser._crossing"}),
     (["figure2", "--k-to", "8"],
      {"fractions", "decimal", "erdosmoser._figure1", "erdosmoser.search"},
      {"erdosmoser.signanalysis", "erdosmoser._commands"}),
@@ -370,6 +372,53 @@ class TestExitCodes:
             os.close(fd)
         assert code == 141 and len(raw.taken) == 1000
         assert capsys.readouterr().err == ""
+
+
+# sha256 of what the parser prints at COLUMNS=80, taken before each
+# subcommand declared its own arguments: the help texts on stdout, the usage
+# errors on stderr.  Taken on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0:
+# 3.11 and 3.12 print the same, 3.10 adds "(default: True)" to --exact's
+# help, and 3.13 indents the command list and wraps ratios' usage differently.
+PARSER_TEXT = {
+    "--help": "78e7260cde70d51a0afc6d060ea22e5011e4618c69e3d8f65a4ef9f172eb381e",
+    "sum --help": "6e3cdc9ce56b093d1b4c06aad298355677945a4f3541d70840ef4018e44bd13b",
+    "approx --help": "55dcaea4abffdbb051da8981a773cdff02a0e42eef8e5753b5f3a66bb62efd5e",
+    "poly --help": "e91a8f659aed2e65ed77afccc160f994b91124a8d651e14452ec484e6db06b0a",
+    "candidates --help": "aee6c66f0f4568d6bae2bb86a12ace8a8d2a7532b42a14747d162b2694ab5de9",
+    "signs --help": "09a6f936c64e1ca1b8b43f87b6d6faa6b11dce6a959c2b5c22cdf849f213b702",
+    "ratios --help": "4b8eb763425901a82468274805e955787610cf2f00a08601461dd5d92d3a804c",
+    "threshold --help": "0cd4f391bc0eec8938387604549c40f9781556c00ed967f0bc5b0ec90d8ad076",
+    "search --help": "ff0e2a614f8813970db88bde8fa350e436e7c5b0ab47858de08e9283293dfc73",
+    "figure1 --help": "f4b32a8271c7b5476b585c07b988f77965824043e80149cd6b7635015f1bd293",
+    "figure2 --help": "79be387e707c5e0d70c3647ef40064d68a80fd9e497330cc709318191e72dea6",
+    "frobnicate": "f9c477580fbb8cdf5050a4b99f977f437e85403ff98fbf1c7f3ad4ad1603a90a",
+    "ratios": "83183220820e01ffc8bb8da5471a495cc68cd6a76e7927ccf33b8ce9914a7ebd",
+}
+PARSER_TEXT_CHANGES = {
+    (3, 10): {
+        "approx --help": "6765a516fca1143407bd28f47b05aba0753b522144732140d6a35e0d310d8e00",
+        "ratios --help": "a82dabe653691163b9f063ee90541c1e94389f7f78bb8ad0e731caa0ab3fa21b",
+        "figure1 --help": "b2e677678b86f4983373566443fc8b7de0b91c26669816d60d8a4d620be8f771",
+        "figure2 --help": "7ee9c167dc841d24499897f898e72252137ab07c4ee065203a9261b7f95d827c",
+    },
+    (3, 13): {
+        "--help": "ea63e7f9357a48cc1672cbb548b5cdce2cdaf10f9a60a3db2d9eb9689d7e8c45",
+        "ratios --help": "4bb86edef54ce4d1e63e24456d13beff616be1679ffe1019d32e1234b6ae907c",
+        "ratios": "0d6fc407e1c31235c97e6a30568694f8ad969228e52616001828704c0f0ac70c",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_TEXT))
+def test_parser_text_is_pinned(capsys, monkeypatch, argv):
+    if sys.version_info[:2] not in {(3, 10), (3, 11), (3, 12), (3, 13)}:
+        pytest.skip("parser text pinned for Python 3.10 to 3.13 only")
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(argv.split())
+    out, err = capsys.readouterr()
+    pinned = {**PARSER_TEXT, **PARSER_TEXT_CHANGES.get(sys.version_info[:2], {})}
+    assert hashlib.sha256((out + err).encode()).hexdigest() == pinned[argv]
 
 
 # A small valid argv per subcommand, and the subcommands whose handler reads
@@ -958,6 +1007,16 @@ class TestOutputContract:
         _, per_cell, _ = run_cli(capsys, *argv)
         lines = zip(templated.splitlines(), per_cell.splitlines(), strict=True)
         assert [pair for pair in lines if pair[0] != pair[1]] == []
+
+    # each block is built once as the bytes written; joining, concatenating
+    # and encoding it as text held each 64 KB block three to four times over,
+    # for traced peaks of 276 KiB (figure2) and 432 KiB (figure1)
+    @pytest.mark.parametrize("warm_argv, argv, blocks", [
+        (["figure2", "--k-to", "6"], ["figure2", "--k-to", "400"], 3.5),
+        (["figure1", "--k-to", "2", "--m-to", "3"], ["figure1"], 6),
+    ], ids=["figure2 --k-to 400", "figure1"])
+    def test_each_block_is_held_once(self, warm_argv, argv, blocks):
+        assert traced_growth(warm_argv, argv, peak=True) < blocks * _table._BLOCK
 
     def test_figure1_leaves_no_rows_parked(self):
         # CPython 3.11 never reuses freed 20-item tuples, so spelling each
