@@ -5,7 +5,7 @@ still leaves stdout empty."""
 
 import sys
 
-from ._table import BOOL, FLOAT, INT, TEXT, _triplet, _triplet_columns
+from ._table import BOOL, EXACT, FLOAT, INT, TEXT, _triplet, _triplet_columns
 from .arith import DivisorBudget
 from .candidates import CaseKind, candidate_roots
 from .errors import DomainError
@@ -35,11 +35,8 @@ def _cmd_approx(args):
     }
     row = (args.k, arg.m, p)
     for value in values.values():
-        if value is None:
-            row += (None,) * (3 if args.exact else 2)
-        else:
-            row += _triplet(value.numerator, value.denominator, args.exact)
-    columns = [("k", INT), ("m", TEXT), ("p", INT)] + _triplet_columns(values, args.exact)
+        row += (None,) * 3 if value is None else _triplet(value.numerator, value.denominator)
+    columns = [("k", INT), ("m", TEXT), ("p", INT)] + _triplet_columns(values)
     params = {"k": args.k, "m": str(arg.m), "p": p}
     return params, columns, [row]
 
@@ -90,16 +87,10 @@ def _cmd_ratios(args):
     from .signanalysis import dominance_series
     case = CaseKind[args.case]
     series = dominance_series(case, args.k_from, args.k_to, args.step)
-    columns = [("case", TEXT), ("k", INT), ("ratio", FLOAT)]
-    if args.exact:
-        columns.append(("exact", TEXT))
-    columns += [("limit", FLOAT), ("series_decreasing", BOOL)]
-    rows = []
-    for point in series.points:
-        row = (case.name, point.k, point.value)
-        if args.exact:
-            row += (point.exact,)
-        rows.append(row + (point.limit, series.decreasing_from_start))
+    columns = [("case", TEXT), ("k", INT), ("ratio", FLOAT), ("exact", EXACT), ("limit", FLOAT),
+               ("series_decreasing", BOOL)]
+    rows = [(case.name, point.k, point.value, point.exact, point.limit, series.decreasing_from_start)
+            for point in series.points]
     params = {"case": case.name, "k_from": args.k_from, "k_to": args.k_to, "step": args.step,
               "monotone_start": series.monotone_start}
     return params, columns, rows
@@ -114,12 +105,12 @@ def _cmd_figure2(args):
         for case in CaseKind:
             for k in range(case.min_k, args.k_to + 1, 2):
                 report, ratio = case_point(k, case)
-                row = (case.name, k, report.m0, *_triplet(report.value, 1, args.exact))
+                row = (case.name, k, report.m0, *_triplet(report.value, 1))
                 yield row + (report.sign.name, ratio, case.limit)
 
     columns = (
         [("case", TEXT), ("k", INT), ("m0", INT)]
-        + _triplet_columns(["value"], args.exact)
+        + _triplet_columns(["value"])
         + [("sign", TEXT), ("ratio", FLOAT), ("limit", FLOAT)]
     )
     return {"k_to": args.k_to}, columns, rows()

@@ -18,7 +18,7 @@ from .errors import DomainError, InternalConsistencyError
 from .powersum import PowerSumQuery, sum_direct
 
 
-def figure1_rows(k: int, ms: range, include_exact: bool):
+def figure1_rows(k: int, ms: range):
     """Lazily, one row per m, every cell from m^k and (m-1)^k, carried from
     the previous m.  With d = 2(k+1), A = (2(m-1)+k+1)(m-1)^k + k - 1 is
     d S_R(m-1,k), c = A - d m^k, and the corrected difference is
@@ -44,8 +44,6 @@ def figure1_rows(k: int, ms: range, include_exact: bool):
             e if r == 1 else f"{e}/{r}", log10(abs(e)) - log10(r) if e else None, (e > 0) - (e < 0),
             s, log10(abs(s)) if s else None, (s > 0) - (s < 0),
         ]
-        if not include_exact:
-            del row[2::3]
         yield row
         running += power
         below = power
@@ -58,10 +56,10 @@ def _cmd_figure1(args):
     if not ms or ms.start < 2:
         raise DomainError(f"invalid m range [{args.m_from}, {args.m_to}]")
     quantities = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
-    columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities, args.exact)
+    columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities)
     params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
     half = len(ms) // 2
-    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part, args.exact)
+    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part)
               for k in ks for part in (ms[:half], ms[half:])}
     return params, columns, groups
 
@@ -85,7 +83,7 @@ def _spelled(rows: dict, line, command: str):
     means the stream was cut.  The worker is reaped before this generator
     ends or is closed; on any exception it is killed first."""
     groups = list(rows.items())
-    if len(groups) < 2 or not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
         for _, group in groups:
             yield from map(line, group)
         return

@@ -1,18 +1,20 @@
 """The cell kinds and the block writer that every table goes out through.
 
 Each table declares its columns once, as (name, kind) pairs, and yields
-rows as tuples in that order.  A cell is an int, text (an exact integer
-or num/den string, or an enum name), a float (printed to --digits
-significant digits) or a bool (true/false); None is an absent cell, empty
-in CSV and null in JSON.  Both formats go out in blocks of about 64 KB as
-rows are computed, each built once as the bytes it writes and written until
-stdout has taken every byte; JSON is still one object, byte for byte what
-``json.dumps`` gives for it.
+every row whole, as a tuple in that order.  A cell is an int, text (an exact
+integer or num/den string, or an enum name), exact (spelled as text; the
+exact value beside float columns, and the only kind --no-exact drops), a
+float (printed to --digits significant digits) or a bool (true/false); None
+is an absent cell, empty in CSV and null in JSON.  Both formats go out in
+blocks of about 64 KB as rows are computed, each built once as the bytes it
+writes and written until stdout has taken every byte; JSON is still one
+object, byte for byte what ``json.dumps`` gives for it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Iterable, Optional
 
@@ -22,28 +24,21 @@ SCHEMA_VERSION = "1"
 # break: ints and exact text are digits, '-' and '/', enum names are
 # [A-Z0-9_], floats are digits, '.', 'e', '+', '-', inf or nan, and bools
 # are true/false.  So CSV needs no quoting.
-INT, TEXT, FLOAT, BOOL = "int", "text", "float", "bool"
+INT, TEXT, EXACT, FLOAT, BOOL = "int", "text", "exact", "float", "bool"
 
 _BLOCK = 64 * 1024  # characters per block, CSV or JSON
 
 
-def _triplet(num: int, den: int, include_exact: bool) -> tuple:
+def _triplet(num: int, den: int) -> tuple:
     """Exact, ``_log10`` and ``_sign`` cells of num/den, in lowest terms
-    with den > 0; the exact cell is what ``str(Fraction(num, den))`` gives."""
+    with den > 0; the exact cell spells as ``str(Fraction(num, den))``."""
     log10 = math.log10(abs(num)) - math.log10(den) if num else None
-    sign = (num > 0) - (num < 0)
-    if include_exact:
-        return (str(num) if den == 1 else f"{num}/{den}", log10, sign)
-    return (log10, sign)
+    return (num if den == 1 else f"{num}/{den}", log10, (num > 0) - (num < 0))
 
 
-def _triplet_columns(names, include_exact: bool) -> list[tuple[str, str]]:
-    cols = []
-    for name in names:
-        if include_exact:
-            cols.append((name, TEXT))
-        cols += [(f"{name}_log10", FLOAT), (f"{name}_sign", INT)]
-    return cols
+def _triplet_columns(names) -> list[tuple[str, str]]:
+    return [col for name in names
+            for col in ((name, EXACT), (f"{name}_log10", FLOAT), (f"{name}_sign", INT))]
 
 
 def _spellings(digits: Optional[int]) -> dict:
@@ -53,6 +48,7 @@ def _spellings(digits: Optional[int]) -> dict:
     return {
         INT: (str, int, "%d", "%d"),
         TEXT: (str, str, "%s", '"%s"'),
+        EXACT: (str, str, "%s", '"%s"'),
         FLOAT: (float_text.__mod__, lambda v: float(float_text % v), float_text, None),
         BOOL: (lambda v: "true" if v else "false", bool, None, None),
     }
@@ -65,16 +61,19 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     inside the "rows" list.  A row is one ``%`` on a template of the column
     kinds, or spelled cell by cell if a cell is None or a column's kind has
     no template (bool in CSV; float and bool in JSON, whose objects are
-    then ``json.dumps``).  The JSON template quotes TEXT cells unescaped:
-    TEXT spellings are ASCII digits, '-', '/' and [A-Z0-9_], so they never
-    need JSON escaping.  ``rows`` is an iterable of rows, spelled here in
+    then ``json.dumps``).  The JSON template quotes TEXT and EXACT cells
+    unescaped: their spellings are ASCII digits, '-', '/' and [A-Z0-9_], so
+    they never need JSON escaping.  ``rows`` is an iterable of rows, spelled here in
     order, or figure1's dict of independent row groups, which
     ``_figure1._spelled`` may spell in two processes; either way the block
     loop reads one iterator of spelled rows, so the blocks are the same.
     Each block is one bytearray, each spelled row encoded onto it after its
     separator, so a block is held once: never as text, joined or encoded
-    whole."""
+    whole.  --no-exact drops every EXACT column, from the header and each row."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
+    exact = getattr(args, "exact", True)  # only subcommands with EXACT columns have it
+    kept = [i for i, (_, kind) in enumerate(columns) if exact or kind != EXACT]
+    columns = [columns[i] for i in kept]
     names = [name for name, _ in columns]
     json_out = args.format == "json"
     kinds = _spellings(digits)
@@ -108,6 +107,11 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         if template and None not in row:
             return template % (*row, None)
         return per_cell(row)
+    if not exact:  # each row through its kept cells; a default run spells rows as they come
+        full, pick = line, operator.itemgetter(*kept)
+
+        def line(row):
+            return full(pick(row))
     out = getattr(sys.stdout, "buffer", None)  # a text-only sink has none
 
     def write(block):

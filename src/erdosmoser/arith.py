@@ -2,8 +2,10 @@
 with an explicit trial-division budget.  The module holds no mutable state.
 
 Everything here works on Python ints and ``fractions.Fraction`` (always
-normalized, positive denominator; imported only where a Bernoulli number is
-built, as every CLI run loads this module), so every result is exact.
+normalized, positive denominator), so every result is exact.  ``fractions``
+is imported only where a Bernoulli number is built: every handler in
+``_commands`` loads this module, most for ``DivisorBudget`` alone, while
+--version, figure1, search and threshold never load it.
 """
 
 from __future__ import annotations

@@ -421,6 +421,95 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     assert hashlib.sha256((out + err).encode()).hexdigest() == pinned[argv]
 
 
+# The sha256 of the stdout bytes of each argv group, run in order and
+# concatenated, on Python 3.10 to 3.13 alike.  The first six groups pin
+# default runs: the five ratio series, threshold around the crossing's corner
+# cases, the commands that reach Bernoulli numbers, the exact polynomial and
+# the cleared polynomial at k = 600, and the truncations the expansion
+# shares.  The rest pin what --no-exact keeps.
+GOLDEN_DIGESTS = {
+    "ratios": (["ratios --case EVEN_KM1 --k-from 4 --k-to 401",
+                "ratios --case EVEN_2KM1 --k-from 4 --k-to 401",
+                "ratios --case ODD_KM2 --k-from 5 --k-to 401",
+                "ratios --case ODD_KP1 --k-from 3 --k-to 401",
+                "ratios --case ODD_PROD --k-from 3 --k-to 401"],
+               "e1535be3111158c8390a7d597fb636b353e66571adffb784bfc9479e2a87c550"),
+    "threshold": ([f"threshold --k {k}" for k in (1, 2, 3, 4, 5, 360, 401, 420)],
+                  "179749d28fd1970f9f858c8c18c6da3f12e31e808b87f0c79afacdf9d8a8b546"),
+    "bernoulli": (["poly --full-eml --k 240", "sum --k 800 --m 1200", "approx --k 400 --m 7/2"],
+                  "83e2d978c240289d5d561093120907c3abf83cebbef9fe6325153a2a26fb5e38"),
+    "full-eml-600": (["poly --full-eml --k 600 --format json"],
+                     "2ee2d31f476d3cafdadcf8cda8aedf2efec1cdf8937ea740a75c1ecfe775be0b"),
+    "cleared-600": (["poly --k 600 --format json"],
+                    "171b06727ef76e05c168a09381ab2af7bdabf13204a94754d7b1a49530941701"),
+    "truncations": (["approx --k 400 --m 7/2 --p 0", "approx --k 400 --m 7/2 --p 3",
+                     "sum --k 801 --m 1200"],
+                    "a0ceda57a5ef759c4de4bfc08e0de2fc02ed9a3a9a7747586ef35a39fac223b8"),
+    **{argv: ([argv], digest) for argv, digest in [
+        ("figure1 --no-exact", "c142498ab0cc072c27ac6b778879a2d6a40fc5eb1ad6b34be2559b6d88522951"),
+        ("figure1 --k-to 20 --no-exact --format json",
+         "810ff43425cd21a0d8a52ab4dec5f1898d6747d4df069bb8d20e446630f40cf6"),
+        ("figure2 --k-to 400 --no-exact",
+         "f92ea700e1f62b0bf1c566b28f6e5e88f30b1e9fb9307b466b737138d6e30b2d"),
+        ("figure2 --k-to 60 --no-exact --format json",
+         "327ba9793faeb44dc8b37f3c21e55cff4331bb8e2ab821aef915dac7ffe26096"),
+        ("ratios --case ODD_PROD --k-from 3 --k-to 401 --no-exact",
+         "a3939bec9f73901b8c8198ebfa778bcd1e4552349f0e51ec83cef3cdf634e759"),
+        ("ratios --case EVEN_KM1 --k-from 4 --k-to 241 --no-exact --format json",
+         "9df72593d90540bbc2d2f3cd18723e7030191d142ad9f56fd7d2d9ed066c9c9f"),
+        ("approx --k 400 --m 7/2 --no-exact",
+         "a6539a2ac7e0b73f8396408bd1cd5367166ece66cead8506d21a8bf8506ac20b"),
+        ("approx --k 3 --m 2 --no-exact --format json",
+         "a4072c7e5f8ee448c7142a48da1ae9744f0c2fb2d7a092fc5db506f8a27906db"),
+    ]},
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_output_digest_is_pinned(capsysbinary, name):
+    argvs, digest = GOLDEN_DIGESTS[name]
+    sha = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv.split()) == 0
+        sha.update(capsysbinary.readouterr().out)
+    assert sha.hexdigest() == digest
+
+
+def parse_table(out, fmt):
+    """(envelope without rows, header, rows as lists) of one table."""
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        return None, header, rows
+    doc = json.loads(out)
+    rows = doc.pop("rows")
+    return doc, list(rows[0]), [list(row.values()) for row in rows]
+
+
+class TestNoExact:
+    """--no-exact prints the --exact table with its exact columns taken out."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, dropped", [
+        ("approx --k 400 --m 7/2", {"sum_approx", "first_correction", "correction_ratio", "sum_truncated"}),
+        ("approx --k 2 --m 2", {"sum_approx", "first_correction", "correction_ratio", "sum_truncated"}),
+        ("ratios --case EVEN_KM1 --k-from 190 --k-to 210", {"exact"}),  # None past k = 200
+        ("figure1 --k-from 1 --k-to 6 --m-from 2 --m-to 30",  # None cells at (1, 3)
+         {"sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact"}),
+        ("figure2 --k-to 40", {"value"}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_exact_columns_removed(self, capsys, fmt, argv, dropped):
+        tables = []
+        for flag in ("--exact", "--no-exact"):
+            code, out, err = run_cli(capsys, *argv.split(), flag, "--format", fmt)
+            assert code == 0 and err == ""
+            tables.append(parse_table(out, fmt))
+        (envelope, header, rows), (lean_envelope, lean_header, lean_rows) = tables
+        kept = [i for i, name in enumerate(header) if name not in dropped]
+        assert dropped <= set(header) and lean_envelope == envelope
+        assert lean_header == [header[i] for i in kept]
+        assert lean_rows == [[row[i] for i in kept] for row in rows] and rows
+
+
 # A small valid argv per subcommand, and the subcommands whose handler reads
 # each flag.  Written out by hand, not read from build_parser, so the test
 # checks the parser against the handlers rather than against itself.
@@ -828,8 +917,8 @@ class TestFigure1Worker:
     def test_worker_failure_names_the_group(self, monkeypatch, forks):
         rows = _figure1.figure1_rows
 
-        def failing(k, ms, include_exact):
-            for row in rows(k, ms, include_exact):
+        def failing(k, ms):
+            for row in rows(k, ms):
                 if (k, row[1]) == (3, 150):  # in the worker's second group
                     raise RuntimeError("planted failure")
                 yield row
