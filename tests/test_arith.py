@@ -132,6 +132,9 @@ class TestDivisors:
         p = 1_000_003
         assert divisors(2 * p, DivisorBudget(max_trial=1001)) == [1, 2, p, 2 * p]
 
+    def test_default_budget(self):
+        assert arith.DEFAULT_BUDGET == DivisorBudget(1_000_000)
+
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             DivisorBudget(max_trial=1)

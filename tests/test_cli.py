@@ -99,6 +99,27 @@ def cli_process(*argv, unbuffered=False, **kwargs):
                             env=child_env(unbuffered), **kwargs)
 
 
+def group_outlived(pgid):
+    """Whether any process is left in process group ``pgid``, which is
+    then killed: a child started with ``start_new_session=True`` leads a
+    group of its own, which every process it forks joins."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    os.killpg(pgid, signal.SIGKILL)
+    return True
+
+
+def one_cpu():
+    """A ``preexec_fn`` that pins the child to one CPU this process may run
+    on, as `taskset -c` does; skips the test where affinity cannot be set."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is missing here")
+    cpu = min(os.sched_getaffinity(0))
+    return lambda: os.sched_setaffinity(0, {cpu})
+
+
 def traced_growth(warm_argv, argv, peak=False):
     """Bytes traced by tracemalloc in a fresh process after ``main(argv)``
     writes into a sink, over what was traced before it (its peak with
@@ -345,20 +366,50 @@ class TestExitCodes:
             code, _, _ = run_cli(capsys, "threshold", "--k", "4", "--digits", digits)
             assert code == 2
 
-    def test_reader_gone_before_output_is_141(self):
-        # a one-row output sits in the buffer until the final flush
-        read_end, write_end = os.pipe()
-        os.close(read_end)
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, stop, head_start", [
+        # the reader stops after two lines, as `| head -n 2` does
+        ("figure1", "lines", b"k,m,sum_exact,"),
+        # or after 4,096 bytes, as `| head -c 4096` does: JSON has no line
+        # break before its end, signs streams one k at a time, and the
+        # poly table is one 78 KB block that the pipe can take in part
+        ("figure1 --format json", "bytes", b'{"schema_version": "1", "command": "figure1", '),
+        ("signs --k-max 400 --format json", "bytes", b'{"schema_version": "1", "command": "signs", '),
+        ("poly --full-eml --k 240", "bytes", b"power,coefficient\n0,0\n"),
+        # or closes its end before the command starts: a one-row output
+        # sits in the buffer until the final flush
+        ("sum --k 3 --m 5", "closed", b""),
+    ], ids=["figure1", "figure1-json", "signs-json", "poly-full-eml", "sum"])
+    def test_reader_leaves_is_141(self, argv, stop, head_start, unbuffered):
+        # exit 141 with nothing on stderr, and no process of the command's
+        # group (figure1's forked row worker included) outlives it
+        if stop == "closed":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        else:
+            stdout = subprocess.PIPE
         try:
-            proc = cli_process("sum", "--k", "3", "--m", "5", stdout=write_end,
-                               stderr=subprocess.PIPE)
+            proc = cli_process(*argv.split(), unbuffered=unbuffered, stdout=stdout,
+                               stderr=subprocess.PIPE, start_new_session=True)
         finally:
-            os.close(write_end)
+            if stop == "closed":
+                os.close(stdout)
         try:
+            head = b""
+            if stop == "lines":
+                head = proc.stdout.readline() + proc.stdout.readline()
+            elif stop == "bytes":
+                head = proc.stdout.read(4096)
+            if proc.stdout:
+                proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         finally:
             proc.kill()
+            outlived = group_outlived(proc.pid)
+            proc.wait()
+        assert head.startswith(head_start)
         assert proc.returncode == 141 and err == b""
+        assert not outlived
 
     def test_reader_gone_mid_block_is_141(self, capsys, monkeypatch, tmp_path):
         # one block (about 8 KB) of which the pipe takes 1,000 bytes before
@@ -770,33 +821,23 @@ class TestFigure1:
         code, out, err = run_cli(capsys, "figure1", "--m-from", "9", "--m-to", "4")
         assert code == 2 and out == "" and "m range" in err
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_pipe_exits_141_quietly(self, unbuffered):
-        # the reader stops after two lines, as `erdosmoser figure1 | head -n 2` does
-        proc = cli_process("figure1", unbuffered=unbuffered,
-                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        head = [proc.stdout.readline(), proc.stdout.readline()]
-        proc.stdout.close()
+    # the stdout sha256 over the full default grid on one CPU, where the rows
+    # are spelled serially, and unpinned, where a forked worker spells every
+    # second group wherever the process may run on 2 or more CPUs
+    @pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "all-cpus"])
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "9182a51e426f87182f6e2ae2453aab8a584b89a6a847b970a48871da5f761878"),
+        ("json", "509f317dc858a211dc2738c5ff7190bd01344b82975d8a52d3050cf5111fee69"),
+    ], ids=["csv", "json"])
+    def test_full_grid_digest(self, fmt, digest, pinned):
+        proc = cli_process("figure1", "--format", fmt, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, preexec_fn=one_cpu() if pinned else None)
         try:
-            _, err = proc.communicate(timeout=120)
+            out, err = proc.communicate(timeout=120)
         finally:
             proc.kill()
-        assert head[0].startswith(b"k,m,sum_exact,") and head[1].startswith(b"2,3,5,")
-        assert proc.returncode == 141
-        assert err == b""
-        # JSON has no line break before its end: the reader takes 4,096 bytes,
-        # as `erdosmoser figure1 --format json | head -c 4096` does
-        proc = cli_process("figure1", "--format", "json", unbuffered=unbuffered,
-                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        head = proc.stdout.read(4096)
-        proc.stdout.close()
-        try:
-            _, err = proc.communicate(timeout=120)
-        finally:
-            proc.kill()
-        assert head.startswith(b'{"schema_version": "1", "command": "figure1", ')
-        assert proc.returncode == 141
-        assert err == b""
+        assert proc.returncode == 0 and err == b""
+        assert hashlib.sha256(out).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [["figure1"], ["figure1", "--k-to", "12", "--format", "json"]],
                              ids=["csv", "json"])
@@ -899,6 +940,15 @@ class TestFigure1Worker:
         assert len(forks) == 1  # the serial run forks nothing
         assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
         assert no_child_left()
+
+    def test_cpus_follows_affinity(self):
+        # every other test sets _cpus; a process pinned to one CPU must
+        # take the serial path however many CPUs the machine has
+        code = "from erdosmoser import _figure1; print(_figure1._cpus())"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                              text=True, timeout=120, preexec_fn=one_cpu())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
 
     def test_no_fork_beside_another_thread(self, capsys, monkeypatch, forks):
         # a forked child would hold copies of that thread's locks, never released

@@ -64,6 +64,12 @@ def test_crossing_matches_first_positive_scan():
         assert sign_crossing(k) == sign_threshold(k)[1] == first_positive(k), k
 
 
+def test_crossing_at_a_difference_of_one(monkeypatch):
+    # a first non-negative difference of 1 is positive: the crossing is its m
+    monkeypatch.setattr(search, "first_nonnegative", lambda k, m_lo, m_hi: (7, 1))
+    assert sign_crossing(5) == 7
+
+
 def test_crossing_domain():
     with pytest.raises(DomainError):
         sign_crossing(0)

@@ -11,6 +11,7 @@ from erdosmoser.errors import BudgetExceededError, DomainError
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.signanalysis import (
     FULL_SET,
+    RatioPoint,
     Sign,
     SignReport,
     case_point,
@@ -40,6 +41,12 @@ class TestSignReports:
             (CaseKind.EVEN_KM1, 7, Sign.NEG),
             (CaseKind.EVEN_2KM1, 14, Sign.POS),
         ]
+
+
+class TestSignOf:
+    @pytest.mark.parametrize("value, sign", [(1, Sign.POS), (0, Sign.ZERO), (-1, Sign.NEG)])
+    def test_unit_values(self, value, sign):
+        assert Sign.of(value) is sign
 
 
 class TestSignSummary:
@@ -277,6 +284,29 @@ class TestDominanceSeries:
         for case in CaseKind:
             series = dominance_series(case, case.min_k, case.min_k + 80)
             assert series.decreasing_from_start, case
+
+    @pytest.mark.parametrize("values, decreasing", [
+        ([3, 2, 1.5, 1], True),
+        ([1, 1.5, 0.5], False),  # a rise exactly at the start
+        ([3, 2, 2.5, 1], False),  # a rise between adjacent samples only
+    ], ids=["falling", "rise-at-start", "rise-between-adjacent"])
+    def test_verdict_over_hand_built_points(self, monkeypatch, values, decreasing):
+        # the samples at k = 4 and 6 rise, but the verdict reads only those
+        # from EVEN_2KM1's monotone start, k = 8, on
+        case = CaseKind.EVEN_2KM1
+        ratios = dict(zip(range(4, 100, 2), [0.1, 0.2, *values]))
+        monkeypatch.setattr(signanalysis, "dominance_ratio",
+                            lambda k, c: RatioPoint(k, c, None, ratios[k], c.limit))
+        series = dominance_series(case, 4, 2 + 2 * len(ratios))
+        assert case.monotone_start == 8 and series.monotone_start == 8
+        assert [p.value for p in series.points] == list(ratios.values())
+        assert series.decreasing_from_start is decreasing
+
+    def test_equal_points_are_not_strictly_less(self):
+        case = CaseKind.EVEN_KM1
+        for exact in (Fraction(3, 2), None):
+            point = RatioPoint(4, case, exact, 1.5, case.limit)
+            assert not signanalysis._strictly_less(point._replace(k=6), point)
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(DomainError):
