@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .powersum import PowerSumQuery, sum_direct
 
 __all__ = ["SearchHit", "find_solutions", "first_nonnegative", "sign_crossing"]
@@ -41,16 +41,18 @@ def sign_crossing(k: int) -> int:
     Scans upward from m = 3 with exact direct sums, so every m below the
     returned crossing was observed <= 0.  An exact zero at m (for k = 1, the
     known solution m = 3) reports m + 1, where the difference is positive by
-    the single-crossing lemma of :func:`find_solutions`.  No crossing below
-    the scan bound 4(k+2) raises :class:`InternalConsistencyError`.
+    the single-crossing lemma of :func:`find_solutions`.
+
+    *k + 2 <= sign_crossing(k) <= 2(k+1)*, and k = 1 attains the upper bound.
+    Proof: j^k lies between the integrals of x^k over [j-1, j] and [j, j+1].
+    So S(m-1,k) <= int_1^m x^k dx < m^{k+1}/(k+1) <= m^k whenever m <= k+1,
+    and S(m-1,k) >= int_0^{m-1} x^k dx = (m-1)^{k+1}/(k+1) > m^k once
+    (m-1)(1 - 1/m)^k > k+1.  At m = 2(k+1), Bernoulli's inequality
+    (1 - 1/m)^k >= 1 - k/m bounds that product below by
+    (2k+1)(k+2)/(2k+2) = k+1 + k/(2k+2).  So the scan always ends by 2(k+1),
+    and an exact zero lies below it.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    bound = 4 * (k + 2)
-    found = first_nonnegative(k, 3, bound)
-    if found is None:
-        raise InternalConsistencyError(f"no sign crossing for k={k} scanning m <= {bound}")
-    m, diff = found
+    m, diff = first_nonnegative(k, 3, 2 * (k + 1))
     return m if diff > 0 else m + 1
 
 

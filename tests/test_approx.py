@@ -55,6 +55,12 @@ class TestFirstCorrection:
     def test_vanishes_for_k1(self, m):
         assert first_correction(at(m), 1) == 0
 
+    @pytest.mark.parametrize("k", [0, -4])
+    def test_bad_exponent(self, k):
+        # the k/12 factor would give 0 at k = 0 rather than an error
+        with pytest.raises(DomainError, match=f"^exponent must be >= 1, got {k}$"):
+            first_correction(RealArg(5), k)
+
 
 class TestCorrectionRatio:
     def test_example(self):

@@ -185,6 +185,12 @@ class TestHighlighted:
     def test_too_small_k_gives_empty(self, k):
         assert highlighted_candidates(k) == []
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_exponent_below_one_rejected(self, k):
+        # no case accepts such a k, so without the check this would be []
+        with pytest.raises(DomainError):
+            highlighted_candidates(k)
+
     def test_matches_filtered_loop(self):
         # oracle: every admitted case whose candidate is >= 3, in member order
         for k in range(1, 501):

@@ -356,6 +356,28 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ("search --k 1..x --m 3..9", "argument --k: expected N or LO..HI, got '1..x'"),
+        ("search --k 1..3 --m x", "argument --m: expected N or LO..HI, got 'x'"),
+        ("approx --k 3 --m 7/0", "argument --m: expected a rational like 7/2 or 3.5, got '7/0'"),
+        ("approx --k 3 --m x", "argument --m: expected a rational like 7/2 or 3.5, got 'x'"),
+    ])
+    def test_bad_argument_type_is_1(self, capsys, argv, message):
+        # the parser names the bad value, rather than a later step failing on None
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        command = argv.split()[0]
+        assert exc.value.code == 1 and out == ""
+        assert err.splitlines()[-1] == f"erdosmoser {command}: error: {message}"
+
+    def test_parser_is_reusable(self):
+        # a subcommand declares its arguments on its first parse only
+        parser = cli.build_parser()
+        first = parser.parse_args(["sum", "--k", "3", "--m", "5"])
+        second = parser.parse_args(["sum", "--k", "4", "--m", "6"])
+        assert (first.k, first.m, second.k, second.m) == (3, 5, 4, 6)
+
     def test_budget_exceeded_is_3(self, capsys):
         # (k+1)(k-2) = 154 = 2 * 7 * 11; budget 2 leaves cofactor 77
         code, _, err = run_cli(capsys, "candidates", "--k", "13", "--trial-budget", "2")
@@ -733,6 +755,11 @@ class TestThresholdCommand:
         rows = parse_csv(out)
         assert rows[0]["predicted"] == "15/2"
         assert rows[0]["crossing"] == "8"
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_exponent_below_one_is_2(self, capsys, k):
+        code, out, err = run_cli(capsys, "threshold", "--k", k)
+        assert (code, out, err) == (2, "", f"error: exponent must be >= 1, got {k}\n")
 
     def test_prediction_spelled_as_its_fraction(self, capsys):
         # the prediction is spelled from integers; the Fraction is the oracle

@@ -6,6 +6,8 @@ raises if the difference turns back non-positive after being positive,
 which the single-crossing lemma in ``find_solutions`` rules out.
 """
 
+from itertools import count
+
 import pytest
 
 import erdosmoser
@@ -19,7 +21,7 @@ from erdosmoser.signanalysis import sign_threshold
 
 def horner_threshold(k):
     poly = full_eml_poly(k).poly
-    return next(m for m in range(3, 4 * (k + 2) + 1) if eval_poly(poly, m) > 0)
+    return next(m for m in count(3) if eval_poly(poly, m) > 0)
 
 
 def scan_one_k(k, m_lo, m_hi):
@@ -70,9 +72,18 @@ def test_crossing_at_a_difference_of_one(monkeypatch):
     assert sign_crossing(5) == 7
 
 
+def test_crossing_lies_in_its_window():
+    # the lemma in sign_crossing's docstring: k + 2 <= crossing <= 2(k+1)
+    crossings = {k: sign_crossing(k) for k in range(1, 401)}
+    assert [k for k, m in crossings.items() if not k + 2 <= m <= 2 * (k + 1)] == []
+    assert crossings[1] == 4  # the upper bound is attained
+
+
 def test_crossing_domain():
-    with pytest.raises(DomainError):
-        sign_crossing(0)
+    # the package's one exponent check, reached through the scan's query
+    for k in (0, -3):
+        with pytest.raises(DomainError, match=f"^exponent must be >= 1, got {k}$"):
+            sign_crossing(k)
 
 
 @pytest.mark.parametrize(
