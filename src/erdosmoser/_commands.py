@@ -7,7 +7,7 @@ import sys
 
 from ._table import BOOL, EXACT, FLOAT, INT, TEXT, _triplet, _triplet_columns
 from .arith import DivisorBudget
-from .candidates import CaseKind, candidate_roots
+from .candidates import CaseKind, Source, candidate_roots
 from .errors import DomainError
 
 
@@ -53,8 +53,8 @@ def _cmd_candidates(args):
     cs = candidate_roots(args.k, DivisorBudget(args.trial_budget))
     # the same set as cs.integer_candidates_ge3: every integer candidate is a divisor
     rows = [(c, c.denominator == 1, c.denominator == 1 and c >= 3) for c in cs.all_candidates]
-    params = {"k": cs.k, "source": cs.source.value, "factored_root_zero": cs.factored_root_zero,
-              "count": len(cs.all_candidates)}
+    params = {"k": cs.k, "source": cs.source.value,
+              "factored_root_zero": cs.source is Source.QUOTIENT, "count": len(cs.all_candidates)}
     columns = [("candidate", TEXT), ("is_integer", BOOL), ("integer_ge3", BOOL)]
     return params, columns, rows
 
@@ -66,14 +66,14 @@ def _cmd_signs(args):
     stderr once the last row has been produced; when the reader leaves
     early (``| head``, exit 141), rows never reached are never evaluated,
     so they are not counted and no warning is printed for them."""
-    from .signanalysis import Sign, sign_candidates, sign_reports
+    from .signanalysis import sign_candidates, sign_reports
     candidates = sign_candidates(args.k_max, DivisorBudget(args.trial_budget))
 
     def rows():
         zeros = 0
         for k, integers in candidates.items():
             for r in sign_reports(k, integers):
-                zeros += r.sign is Sign.ZERO
+                zeros += r.value == 0
                 yield (r.k, "FULL_SET" if r.case is None else r.case.name, r.m0, r.value, r.sign.name)
         if zeros:
             print(f"warning: {zeros} candidate(s) evaluate to exactly zero, "
@@ -89,10 +89,10 @@ def _cmd_ratios(args):
     series = dominance_series(case, args.k_from, args.k_to, args.step)
     columns = [("case", TEXT), ("k", INT), ("ratio", FLOAT), ("exact", EXACT), ("limit", FLOAT),
                ("series_decreasing", BOOL)]
-    rows = [(case.name, point.k, point.value, point.exact, point.limit, series.decreasing_from_start)
+    rows = [(case.name, point.k, point.value, point.exact, case.limit, series.decreasing_from_start)
             for point in series.points]
     params = {"case": case.name, "k_from": args.k_from, "k_to": args.k_to, "step": args.step,
-              "monotone_start": series.monotone_start}
+              "monotone_start": case.monotone_start}
     return params, columns, rows
 
 

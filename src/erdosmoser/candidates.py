@@ -90,16 +90,14 @@ class CandidateSet(NamedTuple):
     """All positive rational-root candidates for one exponent k.
 
     ``integer_candidates_ge3`` is the subset of integers >= 3 (the
-    equation constrains m >= 3).  For odd k the factored-out root m = 0 is
-    recorded in ``factored_root_zero`` and never tested against that
-    constraint.
+    equation constrains m >= 3).  For odd k (source QUOTIENT) the
+    factored-out root m = 0 is never tested against that constraint.
     """
 
     k: int
     source: Source
     all_candidates: tuple[Fraction, ...]
     integer_candidates_ge3: tuple[int, ...]
-    factored_root_zero: bool
 
 
 def _constant_term(k: int) -> tuple[int, Source]:
@@ -127,7 +125,7 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
     cands = tuple(Fraction(e, 2) for e in sorted({*divs, *(2 * d for d in divs)}))
     # every integer d/2 is itself a divisor, so the integers are the divisors
     ints = tuple(d for d in divs if d >= 3)
-    return CandidateSet(k, source, cands, ints, source is Source.QUOTIENT)
+    return CandidateSet(k, source, cands, ints)
 
 
 def integer_candidates(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> tuple[int, ...]:

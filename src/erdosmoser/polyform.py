@@ -23,7 +23,6 @@ Two cleared forms are built here:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -41,24 +40,15 @@ __all__ = [
 ]
 
 
-class IntPoly(namedtuple("IntPoly", "coeffs")):
+class IntPoly(NamedTuple):
     """Dense integer-coefficient polynomial, ascending powers.
 
-    The highest stored coefficient is non-zero; the zero polynomial is the
-    empty tuple.  Instances are immutable (and therefore hashable and
-    freely shareable).
+    :func:`cleared_poly` and :func:`full_eml_poly` store no zero leading
+    coefficient; the zero polynomial is the empty tuple.  Instances are
+    immutable (and therefore hashable and freely shareable).
     """
 
-    __slots__ = ()
-    # namedtuple's own _make, which _replace calls, would bypass __new__
-    _make = classmethod(lambda cls, it: cls(*it))
-
-    def __new__(cls, coeffs) -> IntPoly:
-        c = tuple(coeffs)
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        return super().__new__(cls, c[:n])
+    coeffs: tuple[int, ...]
 
     @property
     def degree(self) -> int:
@@ -79,7 +69,6 @@ class ClearedPoly(NamedTuple):
     denominators: 2(k+1) for the truncated form, D for the full expansion."""
 
     poly: IntPoly
-    k: int
     multiplier: int
 
 
@@ -98,7 +87,7 @@ def cleared_poly(k: int) -> ClearedPoly:
     c = [(-1) ** (k + 1 - i) * (i + 1 - k) * math.comb(k + 1, i) for i in range(k + 2)]
     c[k] -= 2 * (k + 1)
     c[0] += k - 1
-    return ClearedPoly(IntPoly(tuple(c)), k, 2 * (k + 1))
+    return ClearedPoly(IntPoly(tuple(c)), 2 * (k + 1))
 
 
 def cleared_groups(k: int, m: int) -> tuple[int, int]:
@@ -154,4 +143,4 @@ def full_eml_poly(k: int) -> ClearedPoly:
                 f"coefficient of m^{e} not cleared by D={multiplier}: {v}"
             )
         cleared[e] = int(v)
-    return ClearedPoly(IntPoly(cleared), k, multiplier)
+    return ClearedPoly(IntPoly(tuple(cleared)), multiplier)

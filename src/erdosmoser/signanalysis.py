@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .arith import DEFAULT_BUDGET, DivisorBudget
 from .candidates import CaseKind, highlighted_candidates, integer_candidates
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .polyform import cleared_groups, cleared_value
 
 __all__ = [
@@ -74,7 +74,7 @@ class SignReport(NamedTuple):
     m0: int
     case: Optional[CaseKind]  # FULL_SET (None) = from the enumerated divisor set
     value: int
-    sign: Sign
+    sign = property(lambda self: Sign.of(self.value))
 
 
 class RatioPoint(NamedTuple):
@@ -84,29 +84,33 @@ class RatioPoint(NamedTuple):
     case: CaseKind
     exact: Optional[Fraction]  # present when k <= the exact cutoff
     value: float
-    limit: float
 
 
 class RatioSeries(NamedTuple):
     """Sampled ratio values plus a monotonicity verdict.
 
     ``decreasing_from_start`` covers only the sampled points with
-    k >= monotone_start (each case's analysis begins there); it is
+    k >= the case's ``monotone_start`` (its analysis begins there); it is
     trivially true when fewer than two such points were sampled.
     """
 
     points: tuple[RatioPoint, ...]
-    monotone_start: int
     decreasing_from_start: bool
 
 
 def sign_candidates(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
     """The integer candidates >= 3 of every k in 2..k_max, enumerated
     within ``budget``: the part of :func:`sign_summary` that can fail, done
-    before any value is computed."""
+    before any value is computed.  A budget overrun names the k it hit."""
     if k_max < 3:
         raise DomainError(f"k_max must be >= 3, got {k_max}")
-    return {k: integer_candidates(k, budget) for k in range(2, k_max + 1)}
+    candidates = {}
+    for k in range(2, k_max + 1):
+        try:
+            candidates[k] = integer_candidates(k, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"k={k}: {exc}") from exc
+    return candidates
 
 
 def sign_reports(k: int, integers: tuple[int, ...]) -> list[SignReport]:
@@ -118,7 +122,7 @@ def sign_reports(k: int, integers: tuple[int, ...]) -> list[SignReport]:
     """
     points = highlighted_candidates(k) + [(FULL_SET, m0) for m0 in integers]
     values = {m0: cleared_value(k, m0) for m0 in {m0 for _, m0 in points}}
-    return [SignReport(k, m0, case, values[m0], Sign.of(values[m0])) for case, m0 in points]
+    return [SignReport(k, m0, case, values[m0]) for case, m0 in points]
 
 
 def sign_summary(k_max: int, budget: DivisorBudget = DEFAULT_BUDGET) -> list[SignReport]:
@@ -143,10 +147,10 @@ def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:
     """
     m0 = case.candidate(k)
     if k > _EXACT_CUTOFF:
-        return RatioPoint(k, case, None, _log_ratio(k, m0), case.limit)
+        return RatioPoint(k, case, None, _log_ratio(k, m0))
     from fractions import Fraction
     positive, negative = cleared_groups(k, m0)
-    return RatioPoint(k, case, Fraction(negative, positive), negative / positive, case.limit)
+    return RatioPoint(k, case, Fraction(negative, positive), negative / positive)
 
 
 def _log_ratio(k: int, m0: int) -> float:
@@ -166,7 +170,7 @@ def case_point(k: int, case: CaseKind) -> tuple[SignReport, float]:
     positive, negative = cleared_groups(k, m0)
     value = positive - negative + k - 1
     ratio = negative / positive if k <= _EXACT_CUTOFF else _log_ratio(k, m0)
-    return SignReport(k, m0, case, value, Sign.of(value)), ratio
+    return SignReport(k, m0, case, value), ratio
 
 
 def dominance_series(case: CaseKind, k_from: int, k_to: int, step: int = 2) -> RatioSeries:
@@ -183,10 +187,9 @@ def dominance_series(case: CaseKind, k_from: int, k_to: int, step: int = 2) -> R
     if k_to < k_from:
         raise DomainError(f"empty range [{k_from}, {k_to}]")
     points = tuple(dominance_ratio(k, case) for k in range(k_from, k_to + 1, step))
-    start = case.monotone_start
-    tail = [p for p in points if p.k >= start]
+    tail = [p for p in points if p.k >= case.monotone_start]
     decreasing = all(_strictly_less(nxt, prev) for prev, nxt in zip(tail, tail[1:]))
-    return RatioSeries(points, start, decreasing)
+    return RatioSeries(points, decreasing)
 
 
 def _strictly_less(b: RatioPoint, a: RatioPoint) -> bool:

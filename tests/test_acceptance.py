@@ -96,7 +96,7 @@ def test_criterion_04_limits_and_monotonicity():
     }
     for case, start in starts.items():
         series = dominance_series(case, start, start + 96)
-        ok = ok and series.monotone_start == start and series.decreasing_from_start
+        ok = ok and case.monotone_start == start and series.decreasing_from_start
         # sparse continuation toward the limit keeps decreasing
         tail = [series.points[-1].value]
         for k in (400, 1000, 10000):

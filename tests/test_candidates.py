@@ -84,14 +84,12 @@ class TestCandidateRoots:
     def test_odd_k3(self):
         cs = candidate_roots(3)
         assert cs.source is Source.QUOTIENT
-        assert cs.factored_root_zero
         assert cs.all_candidates == (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
         assert cs.integer_candidates_ge3 == (4,)
 
     def test_even_source_and_no_zero_root(self):
         cs = candidate_roots(4)
         assert cs.source is Source.CLEARED
-        assert not cs.factored_root_zero
 
     def test_small_k_rejected(self):
         with pytest.raises(DomainError):

@@ -495,11 +495,12 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
 
 
 # The sha256 of the stdout bytes of each argv group, run in order and
-# concatenated, on Python 3.10 to 3.13 alike.  The first six groups pin
+# concatenated, on Python 3.10 to 3.13 alike.  The first eight groups pin
 # default runs: the five ratio series, threshold around the crossing's corner
 # cases, the commands that reach Bernoulli numbers, the exact polynomial and
-# the cleared polynomial at k = 600, and the truncations the expansion
-# shares.  The rest pin what --no-exact keeps.
+# the cleared polynomial at k = 600, the truncations the expansion shares,
+# candidate sets of both parities, and the sign table to k = 60.  The rest
+# pin what --no-exact keeps.
 GOLDEN_DIGESTS = {
     "ratios": (["ratios --case EVEN_KM1 --k-from 4 --k-to 401",
                 "ratios --case EVEN_2KM1 --k-from 4 --k-to 401",
@@ -518,6 +519,10 @@ GOLDEN_DIGESTS = {
     "truncations": (["approx --k 400 --m 7/2 --p 0", "approx --k 400 --m 7/2 --p 3",
                      "sum --k 801 --m 1200"],
                     "a0ceda57a5ef759c4de4bfc08e0de2fc02ed9a3a9a7747586ef35a39fac223b8"),
+    "candidates": ([f"candidates --k {k} --format json" for k in (3, 4, 10, 201, 400)],
+                   "cc1879d8e12f8f310c25b3d1ebe3e221e8a4025603d4124e6d2a18dc05ad4e98"),
+    "signs": (["signs --k-max 60 --format json"],
+              "25dbed31b797fd0bfdfebedfac7a84e60490ed0a1560ecd135a48a9a8eb21152"),
     **{argv: ([argv], digest) for argv, digest in [
         ("figure1 --no-exact", "c142498ab0cc072c27ac6b778879a2d6a40fc5eb1ad6b34be2559b6d88522951"),
         ("figure1 --k-to 20 --no-exact --format json",
@@ -688,7 +693,7 @@ class TestSignsCommand:
         code, out, err = run_cli(capsys, "signs", "--k-max", "400", "--trial-budget", "100",
                                  "--format", fmt)
         assert (code, out) == (3, "")
-        assert err == "error: unfactored cofactor 20099 exceeds trial budget 100\n"
+        assert err == "error: k=201: unfactored cofactor 20099 exceeds trial budget 100\n"
 
     def test_zero_row_warns_once(self, capsys, monkeypatch):
         # (10, 6) is a FULL_SET point only, so one row reads ZERO
