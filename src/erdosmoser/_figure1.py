@@ -1,11 +1,14 @@
 """figure1: its handler, its row kernel and its row worker, in their own
 module so only figure1 runs compile them.
 
-figure1's rows fall into independent groups, one per half of each k's m
-range; where the process may run on 2 or more CPUs and ``os.fork``
-exists, a forked worker spells every second group while this process
-spells the rest and ``_table._emit`` does all the writing.  Its bytes,
-blocks and exit codes are the same either way.
+Only this module knows that figure1 may be spelled in two processes.  On
+one CPU its handler returns the rows, each k's m range in one run of the
+kernel, which ``_table._emit`` spells like any table's.  Where ``os.fork``
+exists and the process may run on 2 or more CPUs, it splits each k's m
+range in halves and returns a function of ``_emit``'s row speller: a
+forked worker spells every second half while this process spells the
+rest.  ``_emit`` does all the writing, and the bytes, blocks and exit
+codes are the same either way.
 """
 
 import math
@@ -58,10 +61,13 @@ def _cmd_figure1(args):
     quantities = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
     columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities)
     params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
+    # a fork copies no other thread, nor frees the locks they hold
+    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+        return params, columns, (row for k in ks for row in figure1_rows(k, ms))
     half = len(ms) // 2
     groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part)
               for k in ks for part in (ms[:half], ms[half:])}
-    return params, columns, groups
+    return params, columns, lambda line: _spelled(groups, line)
 
 
 def _cpus() -> int:
@@ -71,22 +77,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _spelled(rows: dict, line, command: str):
-    """The spelled rows of a dict of row groups, in order.  On a platform
-    with ``os.fork`` where this process may run on 2 or more CPUs and runs
-    one thread (a fork copies no other thread, nor frees the locks they
-    hold), they are spelled in two processes: a forked row worker spells the
-    groups at odd positions while this process spells the others.  The
-    worker builds each whole group, then sends it through a pipe as text,
-    each row ended by a newline, and an empty line closes the group: no
-    spelled row is empty or holds a newline.  A line without its newline
-    means the stream was cut.  The worker is reaped before this generator
-    ends or is closed; on any exception it is killed first."""
-    groups = list(rows.items())
-    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
-        for _, group in groups:
-            yield from map(line, group)
-        return
+def _spelled(groups: dict, line):
+    """The spelled rows of a dict of row groups, in order, spelled by
+    ``line`` in two processes: a forked row worker spells the groups at odd
+    positions while this process spells the others.  The worker builds each
+    whole group, then sends it through a pipe as text, each row ended by a
+    newline, and an empty line closes the group: no spelled row is empty or
+    holds a newline.  A line without its newline means the stream was cut.
+    The worker is reaped before this generator ends or is closed; on any
+    exception it is killed first."""
+    groups = list(groups.items())
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -103,13 +103,13 @@ def _spelled(rows: dict, line, command: str):
                 if not spelled.endswith("\n"):  # "" at the end of the pipe, or a row cut short
                     status = os.waitpid(pid, 0)[1]
                     raise InternalConsistencyError(
-                        f"{command} row worker ended with exit status "
+                        "figure1 row worker ended with exit status "
                         f"{os.waitstatus_to_exitcode(status)} before sending group {label}")
                 yield spelled[:-1]
         status = os.waitpid(pid, 0)[1]
         if status:
             raise InternalConsistencyError(
-                f"{command} row worker ended with exit status {os.waitstatus_to_exitcode(status)}")
+                f"figure1 row worker ended with exit status {os.waitstatus_to_exitcode(status)}")
     finally:
         if status is None:
             # killed before the pipe closes: a worker that met the closed

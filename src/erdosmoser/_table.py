@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 SCHEMA_VERSION = "1"
 
@@ -54,7 +54,7 @@ def _spellings(digits: Optional[int]) -> dict:
     }
 
 
-def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
+def _emit(args, params: dict, columns: list, rows: Iterable | Callable) -> None:
     """Write the table in blocks as its rows arrive, each until stdout has
     taken every byte.  CSV is the header and one line per row, joined by
     newlines; JSON is the envelope and one object per row, joined by ", ",
@@ -63,11 +63,10 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
     no template (bool in CSV; float and bool in JSON, whose objects are
     then ``json.dumps``).  The JSON template quotes TEXT and EXACT cells
     unescaped: their spellings are ASCII digits, '-', '/' and [A-Z0-9_], so
-    they never need JSON escaping.  ``rows`` is an iterable of rows, spelled here in
-    order, or figure1's dict of independent row groups, which
-    ``_figure1._spelled`` may spell in two processes; either way the block
-    loop reads one iterator of spelled rows, so the blocks are the same.
-    Each block is one bytearray, each spelled row encoded onto it after its
+    they never need JSON escaping.  ``rows`` is an iterable of rows, spelled
+    here in order, or a function that takes the row speller and returns a
+    generator of spelled rows, closed when the writing ends or fails.  Each
+    block is one bytearray, each spelled row encoded onto it after its
     separator, so a block is held once: never as text, joined or encoded
     whole.  --no-exact drops every EXACT column, from the header and each row."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
@@ -121,11 +120,7 @@ def _emit(args, params: dict, columns: list, rows: Iterable) -> None:
         while data:  # once the reader has gone, this raises BrokenPipeError
             data = data[out.write(data):]
     sys.stdout.flush()  # text written before must come first
-    if isinstance(rows, dict):
-        from ._figure1 import _spelled
-        lines = _spelled(rows, line, args.command)
-    else:
-        lines = (line(row) for row in rows)
+    lines = rows(line) if callable(rows) else (line(row) for row in rows)
     try:
         # a new bytearray per block: one that a memoryview still exports
         # cannot be resized

@@ -41,37 +41,35 @@ class Source(Enum):
 class CaseKind(Enum):
     """The five named candidate-root cases, one row each.
 
-    A row holds the label (the member's value), whether k is even, the
-    minimum admissible k, the k from which the case's dominance ratio
-    decreases, the ratio's large-k limit, and the candidate m0 as a
-    function of k.  Every minimum puts the candidate at 3 or above.
+    A row holds the label (the member's value), the minimum admissible k,
+    the k from which the case's dominance ratio decreases, the ratio's
+    large-k limit, and the candidate m0 as a function of k.  Every minimum
+    puts the candidate at 3 or above, and its parity is the case's.
     """
 
-    # label, even_k, min_k, monotone_start, limit, candidate formula
-    EVEN_KM1 = ("even k, candidate k - 1", True, 4, 4, 2.0 * math.e / 3.0, lambda k: k - 1)
-    EVEN_2KM1 = (
-        "even k, candidate 2(k - 1)", True, 4, 8, 2.0 * math.sqrt(math.e) / 5.0, lambda k: 2 * (k - 1)
-    )
-    ODD_KM2 = ("odd k, candidate k - 2", False, 5, 5, 2.0 * math.e / 3.0, lambda k: k - 2)
-    ODD_KP1 = ("odd k, candidate k + 1", False, 3, 3, 2.0 * math.e / 3.0, lambda k: k + 1)
-    ODD_PROD = ("odd k, candidate (k + 1)(k - 2)", False, 3, 5, 0.0, lambda k: (k + 1) * (k - 2))
+    # label, min_k, monotone_start, limit, candidate formula
+    EVEN_KM1 = ("even k, candidate k - 1", 4, 4, 2.0 * math.e / 3.0, lambda k: k - 1)
+    EVEN_2KM1 = ("even k, candidate 2(k - 1)", 4, 8, 2.0 * math.sqrt(math.e) / 5.0, lambda k: 2 * (k - 1))
+    ODD_KM2 = ("odd k, candidate k - 2", 5, 5, 2.0 * math.e / 3.0, lambda k: k - 2)
+    ODD_KP1 = ("odd k, candidate k + 1", 3, 3, 2.0 * math.e / 3.0, lambda k: k + 1)
+    ODD_PROD = ("odd k, candidate (k + 1)(k - 2)", 3, 5, 0.0, lambda k: (k + 1) * (k - 2))
 
-    def __new__(cls, label, even_k, min_k, monotone_start, limit, formula):
+    def __new__(cls, label, min_k, monotone_start, limit, formula):
         member = object.__new__(cls)
         member._value_ = label
-        member._row = (even_k, min_k, monotone_start, limit)
+        member._row = (min_k, monotone_start, limit)
         member._formula = formula
         return member
 
     # read-only views of the row, so no caller can change a case for the others
-    even_k = property(lambda self: self._row[0])
-    min_k = property(lambda self: self._row[1])
-    monotone_start = property(lambda self: self._row[2])
-    limit = property(lambda self: self._row[3])
+    min_k = property(lambda self: self._row[0])
+    monotone_start = property(lambda self: self._row[1])
+    limit = property(lambda self: self._row[2])
+    even_k = property(lambda self: self.min_k % 2 == 0)
 
     def accepts(self, k: int) -> bool:
         """True iff k has this case's parity and meets its minimum."""
-        return k % 2 == (0 if self.even_k else 1) and k >= self.min_k
+        return k % 2 == self.min_k % 2 and k >= self.min_k
 
     def require(self, k: int) -> None:
         if not self.accepts(k):

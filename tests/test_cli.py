@@ -973,6 +973,23 @@ class TestFigure1Worker:
         assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
         assert no_child_left()
 
+    @pytest.mark.parametrize("cpus, parts", [(1, [range(3, 11)]), (2, [range(3, 7), range(7, 11)])],
+                             ids=["serial", "forked"])
+    def test_row_groups(self, monkeypatch, cpus, parts):
+        # one CPU runs each k's m range once; the forked path runs its halves
+        calls, rows = [], _figure1.figure1_rows
+
+        def spy(k, ms):
+            calls.append((k, ms))
+            return rows(k, ms)
+
+        monkeypatch.setattr(_figure1, "figure1_rows", spy)
+        monkeypatch.setattr(_figure1, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert main(["figure1", "--k-to", "3", "--m-to", "10"]) == 0
+        assert calls == [(k, ms) for k in (2, 3) for ms in parts]  # --k-from is 2
+        assert no_child_left()
+
     def test_cpus_follows_affinity(self):
         # every other test sets _cpus; a process pinned to one CPU must
         # take the serial path however many CPUs the machine has
@@ -1025,9 +1042,9 @@ class TestFigure1Worker:
         monkeypatch.setattr(_figure1, "_row_worker", stub)
         monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         got = []
-        message = r"t row worker ended with exit status 0 before sending group \(b\)"
+        message = r"figure1 row worker ended with exit status 0 before sending group \(b\)"
         with pytest.raises(InternalConsistencyError, match=message):
-            for spelled in _figure1._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str, "t"):
+            for spelled in _figure1._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str):
                 got.append(spelled)
         assert got == received and no_child_left()
 
@@ -1042,7 +1059,7 @@ class TestFigure1Worker:
             raise TimeoutError("the worker's first group did not arrive")
 
         monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
-        rows = _figure1._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str, "t")
+        rows = _figure1._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str)
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(5)
         try:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erdosmoser import search
 from erdosmoser.errors import DomainError
 from erdosmoser.powersum import PowerSumQuery, sum_direct
 from erdosmoser.search import SearchHit, find_solutions
@@ -69,6 +70,18 @@ class TestFindSolutions:
 
     def test_single_point_range(self):
         assert find_solutions((1, 1), (3, 3)) == [SearchHit(1, 3)]
+
+    def test_each_k_scanned_once(self, monkeypatch):
+        # a scan past k_hi changes no hit, only the work
+        calls, scan = [], search.first_nonnegative
+
+        def spy(k, m_lo, m_hi):
+            calls.append(k)
+            return scan(k, m_lo, m_hi)
+
+        monkeypatch.setattr(search, "first_nonnegative", spy)
+        assert find_solutions((1, 6), (3, 50)) == [SearchHit(1, 3)]
+        assert calls == [1, 2, 3, 4, 5, 6]
 
 
 class TestOddExponentLemma:
