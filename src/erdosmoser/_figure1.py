@@ -1,14 +1,14 @@
 """figure1: its handler, its row kernel and its row worker, in their own
 module so only figure1 runs compile them.
 
-Only this module knows that figure1 may be spelled in two processes.  On
-one CPU its handler returns the rows, each k's m range in one run of the
-kernel, which ``_table._emit`` spells like any table's.  Where ``os.fork``
-exists and the process may run on 2 or more CPUs, it splits each k's m
-range in halves and returns a function of ``_emit``'s row speller: a
-forked worker spells every second half while this process spells the
-rest.  ``_emit`` does all the writing, and the bytes, blocks and exit
-codes are the same either way.
+Only this module knows that figure1 may be spelled in two processes.  Its
+handler makes one group of rows per k, each k's whole m range in one run
+of the kernel.  On one CPU it returns their rows in order, which
+``_table._emit`` spells like any table's.  Where ``os.fork`` exists and
+the process may run on 2 or more CPUs, it returns a function of
+``_emit``'s row speller instead: a forked worker spells every second k's
+group while this process spells the rest.  ``_emit`` does all the
+writing, and the bytes, blocks and exit codes are the same either way.
 """
 
 import math
@@ -61,12 +61,10 @@ def _cmd_figure1(args):
     quantities = ("sum_exact", "sum_approx", "power", "diff_approx", "diff_corrected", "diff_exact")
     columns = [("k", INT), ("m", INT)] + _triplet_columns(quantities)
     params = {"k_from": args.k_from, "k_to": args.k_to, "m_from": args.m_from, "m_to": args.m_to}
+    groups = {f"k={k}": figure1_rows(k, ms) for k in ks}
     # a fork copies no other thread, nor frees the locks they hold
     if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
-        return params, columns, (row for k in ks for row in figure1_rows(k, ms))
-    half = len(ms) // 2
-    groups = {f"(k={k}, m={part.start}..{part.stop - 1})": figure1_rows(k, part)
-              for k in ks for part in (ms[:half], ms[half:])}
+        return params, columns, (row for group in groups.values() for row in group)
     return params, columns, lambda line: _spelled(groups, line)
 
 

@@ -95,7 +95,8 @@ class CandidateSet(NamedTuple):
     k: int
     source: Source
     all_candidates: tuple[Fraction, ...]
-    integer_candidates_ge3: tuple[int, ...]
+    integer_candidates_ge3 = property(lambda self: tuple(
+        c.numerator for c in self.all_candidates if c.denominator == 1 and c >= 3))
 
 
 def _constant_term(k: int) -> tuple[int, Source]:
@@ -121,9 +122,7 @@ def candidate_roots(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> Candidate
     constant, source = _constant_term(k)
     divs = divisors(constant, budget)
     cands = tuple(Fraction(e, 2) for e in sorted({*divs, *(2 * d for d in divs)}))
-    # every integer d/2 is itself a divisor, so the integers are the divisors
-    ints = tuple(d for d in divs if d >= 3)
-    return CandidateSet(k, source, cands, ints)
+    return CandidateSet(k, source, cands)
 
 
 def integer_candidates(k: int, budget: DivisorBudget = DEFAULT_BUDGET) -> tuple[int, ...]:

@@ -78,10 +78,9 @@ class SignReport(NamedTuple):
 
 
 class RatioPoint(NamedTuple):
-    """Dominance ratio at one (case, k), exact when cheap enough."""
+    """Dominance ratio at one case's candidate for k, exact when cheap enough."""
 
     k: int
-    case: CaseKind
     exact: Optional[Fraction]  # present when k <= the exact cutoff
     value: float
 
@@ -147,10 +146,10 @@ def dominance_ratio(k: int, case: CaseKind) -> RatioPoint:
     """
     m0 = case.candidate(k)
     if k > _EXACT_CUTOFF:
-        return RatioPoint(k, case, None, _log_ratio(k, m0))
+        return RatioPoint(k, None, _log_ratio(k, m0))
     from fractions import Fraction
     positive, negative = cleared_groups(k, m0)
-    return RatioPoint(k, case, Fraction(negative, positive), negative / positive)
+    return RatioPoint(k, Fraction(negative, positive), negative / positive)
 
 
 def _log_ratio(k: int, m0: int) -> float:

@@ -940,8 +940,8 @@ def no_child_left():
 
 
 class TestFigure1Worker:
-    """On 2 or more CPUs a forked worker spells every second half of each
-    k's m range; the bytes must not show it."""
+    """On 2 or more CPUs a forked worker spells every second k; the bytes
+    must not show it."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -961,7 +961,7 @@ class TestFigure1Worker:
         ["--k-to", "12", "--digits", "17"],
         ["--k-to", "12", "--format", "json"],
         ["--k-from", "7", "--k-to", "7"],
-        ["--m-from", "2", "--m-to", "2"],  # every first half is empty
+        ["--m-from", "2", "--m-to", "2"],  # one m per k
         ["--k-from", "1", "--k-to", "3", "--m-from", "2", "--m-to", "9"],  # None cells at (1, 3)
     ], ids=" ".join)
     def test_forked_matches_serial(self, capsys, monkeypatch, forks, argv):
@@ -973,10 +973,9 @@ class TestFigure1Worker:
         assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
         assert no_child_left()
 
-    @pytest.mark.parametrize("cpus, parts", [(1, [range(3, 11)]), (2, [range(3, 7), range(7, 11)])],
-                             ids=["serial", "forked"])
-    def test_row_groups(self, monkeypatch, cpus, parts):
-        # one CPU runs each k's m range once; the forked path runs its halves
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+    def test_row_groups(self, monkeypatch, cpus):
+        # both paths run each k's m range once
         calls, rows = [], _figure1.figure1_rows
 
         def spy(k, ms):
@@ -987,7 +986,7 @@ class TestFigure1Worker:
         monkeypatch.setattr(_figure1, "_cpus", lambda: cpus)
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert main(["figure1", "--k-to", "3", "--m-to", "10"]) == 0
-        assert calls == [(k, ms) for k in (2, 3) for ms in parts]  # --k-from is 2
+        assert calls == [(k, range(3, 11)) for k in (2, 3)]  # --k-from is 2
         assert no_child_left()
 
     def test_cpus_follows_affinity(self):
@@ -1018,14 +1017,14 @@ class TestFigure1Worker:
 
         def failing(k, ms):
             for row in rows(k, ms):
-                if (k, row[1]) == (3, 150):  # in the worker's second group
+                if (k, row[1]) == (3, 150):  # in the worker's first group
                     raise RuntimeError("planted failure")
                 yield row
 
         monkeypatch.setattr(_figure1, "figure1_rows", failing)
         monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
         monkeypatch.setattr(sys, "stdout", text_stdout([]))
-        message = r"figure1 row worker ended with exit status 1 before sending group \(k=3, m=102\.\.200\)"
+        message = r"figure1 row worker ended with exit status 1 before sending group k=3"
         with pytest.raises(InternalConsistencyError, match=message):
             main(["figure1", "--k-to", "4"])
         assert len(forks) == 1 and no_child_left()

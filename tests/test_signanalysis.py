@@ -295,7 +295,7 @@ class TestDominanceSeries:
         case = CaseKind.EVEN_2KM1
         ratios = dict(zip(range(4, 100, 2), [0.1, 0.2, *values]))
         monkeypatch.setattr(signanalysis, "dominance_ratio",
-                            lambda k, c: RatioPoint(k, c, None, ratios[k]))
+                            lambda k, c: RatioPoint(k, None, ratios[k]))
         series = dominance_series(case, 4, 2 + 2 * len(ratios))
         assert case.monotone_start == 8
         assert [p.value for p in series.points] == list(ratios.values())
@@ -304,7 +304,7 @@ class TestDominanceSeries:
     def test_equal_points_are_not_strictly_less(self):
         case = CaseKind.EVEN_KM1
         for exact in (Fraction(3, 2), None):
-            point = RatioPoint(4, case, exact, 1.5)
+            point = RatioPoint(4, exact, 1.5)
             assert not signanalysis._strictly_less(point._replace(k=6), point)
 
     def test_parity_mismatch_rejected(self):
