@@ -76,14 +76,14 @@ def _cpus() -> int:
 
 
 def _spelled(groups: dict, line):
-    """The spelled rows of a dict of row groups, in order, spelled by
-    ``line`` in two processes: a forked row worker spells the groups at odd
-    positions while this process spells the others.  The worker builds each
-    whole group, then sends it through a pipe as text, each row ended by a
-    newline, and an empty line closes the group: no spelled row is empty or
-    holds a newline.  A line without its newline means the stream was cut.
-    The worker is reaped before this generator ends or is closed; on any
-    exception it is killed first."""
+    """The spelled rows of a dict of row groups, in order, spelled by ``line``
+    in two processes: a forked row worker spells the groups at odd positions
+    while this process spells the others.  The worker builds each whole group,
+    then sends it through a pipe as the bytes ``_emit`` appends, one row per
+    line, and an empty line closes the group: no spelled row is empty or holds
+    a newline.  A line without its newline means the stream was cut.  The
+    worker is reaped before this generator ends or is closed; on any exception
+    it is killed first."""
     groups = list(groups.items())
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -91,14 +91,14 @@ def _spelled(groups: dict, line):
         os.close(read_fd)
         _row_worker([group for _, group in groups[1::2]], line, write_fd)
     os.close(write_fd)
-    pipe, status = open(read_fd, encoding="utf-8", newline="\n"), None
+    pipe, status = open(read_fd, "rb"), None
     try:
         for i, (label, group) in enumerate(groups):
             if i % 2 == 0:
                 yield from map(line, group)
                 continue
-            for spelled in iter(pipe.readline, "\n"):
-                if not spelled.endswith("\n"):  # "" at the end of the pipe, or a row cut short
+            for spelled in iter(pipe.readline, b"\n"):
+                if not spelled.endswith(b"\n"):  # b"" at the end of the pipe, or a row cut short
                     status = os.waitpid(pid, 0)[1]
                     raise InternalConsistencyError(
                         "figure1 row worker ended with exit status "
@@ -120,16 +120,16 @@ def _spelled(groups: dict, line):
 
 def _row_worker(groups: list, line, write_fd: int):
     """The forked side of ``_spelled``: spells each group whole, then writes
-    its rows to the pipe, each ended by a newline, and an empty line to
-    close the group.  Never touches stdout, prints its traceback to stderr
-    on failure and always leaves through ``os._exit``, so no exception
+    the bytes ``_emit`` appends to the pipe, one row per line, and an empty
+    line to close the group.  Never touches stdout, prints its traceback to
+    stderr on failure and always leaves through ``os._exit``, so no exception
     unwinds into the stack it shares with the parent."""
     code = 1
     try:
-        with open(write_fd, "w", encoding="utf-8", newline="\n") as pipe:
+        with open(write_fd, "wb") as pipe:
             for group in groups:
-                pipe.writelines([line(row) + "\n" for row in group])  # the whole group first
-                pipe.write("\n")
+                pipe.writelines([line(row) + b"\n" for row in group])  # the whole group first
+                pipe.write(b"\n")
                 pipe.flush()  # the parent takes the group while the next one is built
         code = 0
     except BaseException:

@@ -26,7 +26,7 @@ SCHEMA_VERSION = "1"
 # are true/false.  So CSV needs no quoting.
 INT, TEXT, EXACT, FLOAT, BOOL = "int", "text", "exact", "float", "bool"
 
-_BLOCK = 64 * 1024  # characters per block, CSV or JSON
+_BLOCK = 64 * 1024  # bytes per block, CSV or JSON
 
 
 def _triplet(num: int, den: int) -> tuple:
@@ -63,12 +63,12 @@ def _emit(args, params: dict, columns: list, rows: Iterable | Callable) -> None:
     no template (bool in CSV; float and bool in JSON, whose objects are
     then ``json.dumps``).  The JSON template quotes TEXT and EXACT cells
     unescaped: their spellings are ASCII digits, '-', '/' and [A-Z0-9_], so
-    they never need JSON escaping.  ``rows`` is an iterable of rows, spelled
-    here in order, or a function that takes the row speller and returns a
-    generator of spelled rows, closed when the writing ends or fails.  Each
-    block is one bytearray, each spelled row encoded onto it after its
-    separator, so a block is held once: never as text, joined or encoded
-    whole.  --no-exact drops every EXACT column, from the header and each row."""
+    they never need JSON escaping.  The row speller returns the encoded row;
+    ``rows`` is an iterable of rows, spelled here in order, or a function that
+    takes the speller and returns a generator of encoded rows, closed when the
+    writing ends or fails.  Each block is one bytearray, each encoded row
+    appended after its separator: never held as text, joined or encoded whole.
+    --no-exact drops every EXACT column, from the header and each row."""
     digits = getattr(args, "digits", None)  # only subcommands with float columns have it
     exact = getattr(args, "exact", True)  # only subcommands with EXACT columns have it
     kept = [i for i, (_, kind) in enumerate(columns) if exact or kind != EXACT]
@@ -104,8 +104,8 @@ def _emit(args, params: dict, columns: list, rows: Iterable | Callable) -> None:
 
     def line(row):
         if template and None not in row:
-            return template % (*row, None)
-        return per_cell(row)
+            return (template % (*row, None)).encode()
+        return per_cell(row).encode()
     if not exact:  # each row through its kept cells; a default run spells rows as they come
         full, pick = line, operator.itemgetter(*kept)
 
@@ -130,7 +130,7 @@ def _emit(args, params: dict, columns: list, rows: Iterable | Callable) -> None:
             if size >= _BLOCK:  # flushed only when another row follows, so the trailing sep is right
                 write(block)
                 block, size = bytearray(), 0
-            block += spelled.encode()
+            block += spelled
             gap, size = sep, size + len(spelled) + len(sep)
         block += end
         write(block)

@@ -345,6 +345,8 @@ class TestExitCodes:
     def test_domain_error_is_2(self, capsys):
         code, _, err = run_cli(capsys, "sum", "--k", "0", "--m", "5")
         assert code == 2 and "error" in err
+        code, out, err = run_cli(capsys, "sum", "--k", "3", "--m", "1")
+        assert (code, out, err) == (2, "", "error: --m must be >= 2, got 1\n")
 
     def test_usage_error_is_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -998,6 +1000,14 @@ class TestFigure1Worker:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n"
 
+    def test_cpus_without_affinity(self, monkeypatch):
+        # where os.sched_getaffinity is missing, the CPU count decides, and
+        # an unknown count means one CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, cpus in ((None, 1), (8, 8)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert _figure1._cpus() == cpus
+
     def test_no_fork_beside_another_thread(self, capsys, monkeypatch, forks):
         # a forked child would hold copies of that thread's locks, never released
         monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
@@ -1029,13 +1039,13 @@ class TestFigure1Worker:
             main(["figure1", "--k-to", "4"])
         assert len(forks) == 1 and no_child_left()
 
-    @pytest.mark.parametrize("sent, received", [("22", ["1"]), ("22\n", ["1", "22"])],
+    @pytest.mark.parametrize("sent, received", [(b"22", [b"1"]), (b"22\n", [b"1", b"22"])],
                              ids=["mid-row", "before-the-group-ends"])
     def test_stream_cut_short(self, monkeypatch, sent, received):
         # a worker that exits 0 after a row cut short, or before the empty
         # line that closes its group: the cut row is never yielded
         def stub(groups, line, write_fd):
-            os.write(write_fd, sent.encode())
+            os.write(write_fd, sent)
             os._exit(0)
 
         monkeypatch.setattr(_figure1, "_row_worker", stub)
@@ -1043,22 +1053,37 @@ class TestFigure1Worker:
         got = []
         message = r"figure1 row worker ended with exit status 0 before sending group \(b\)"
         with pytest.raises(InternalConsistencyError, match=message):
-            for spelled in _figure1._spelled({"(a)": ["1"], "(b)": ["22", "3"]}, str):
+            for spelled in _figure1._spelled({"(a)": [b"1"], "(b)": [b"22", b"3"]}, bytes):
                 got.append(spelled)
         assert got == received and no_child_left()
+
+    def test_worker_failing_after_its_last_group(self, monkeypatch):
+        # a worker that sends every group whole, then exits 3: each row is
+        # yielded, and the failure names no group
+        def stub(groups, line, write_fd):
+            os.write(write_fd, b"2\n3\n\n")
+            os._exit(3)
+
+        monkeypatch.setattr(_figure1, "_row_worker", stub)
+        got = []
+        with pytest.raises(InternalConsistencyError) as exc:
+            for spelled in _figure1._spelled({"(a)": [b"1"], "(b)": [b"2", b"3"]}, bytes):
+                got.append(spelled)
+        assert str(exc.value) == "figure1 row worker ended with exit status 3"
+        assert got == [b"1", b"2", b"3"] and no_child_left()
 
     def test_each_group_arrives_before_the_next_is_built(self, monkeypatch):
         # the worker sleeps in its second group; its first must reach this
         # process all the same, or the two processes take turns
         def slow():
             time.sleep(30)
-            yield "5"
+            yield b"5"
 
         def timed_out(signum, frame):
             raise TimeoutError("the worker's first group did not arrive")
 
         monkeypatch.setattr(_figure1, "_cpus", lambda: 2)
-        rows = _figure1._spelled({"a": ["1"], "b": ["2", "3"], "c": ["4"], "d": slow()}, str)
+        rows = _figure1._spelled({"a": [b"1"], "b": [b"2", b"3"], "c": [b"4"], "d": slow()}, bytes)
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(5)
         try:
@@ -1067,7 +1092,7 @@ class TestFigure1Worker:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
             rows.close()
-        assert got == ["1", "2", "3", "4"] and no_child_left()
+        assert got == [b"1", b"2", b"3", b"4"] and no_child_left()
 
     def test_reader_gone_mid_table_is_141(self, capfd, monkeypatch, forks, tmp_path):
         # the reader leaves after 1,000 bytes while the worker still has

@@ -1,6 +1,9 @@
 """The package exports each library module's ``__all__``, and nothing else."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import erdosmoser
 
@@ -27,3 +30,27 @@ def test_star_import_binds_exactly_all():
     exec("from erdosmoser import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(erdosmoser.__all__)
+
+
+def fresh(code):
+    """What ``code`` prints in a fresh interpreter that imports this package."""
+    src = str(Path(erdosmoser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_dir_lists_every_exported_name():
+    # fresh, so that no earlier lookup has bound the names in the package
+    code = "import erdosmoser; print(set(erdosmoser.__all__) <= set(dir(erdosmoser)))"
+    assert fresh(code) == "True\n"
+
+
+def test_submodule_name_loads_only_that_submodule():
+    # erdosmoser.search is the submodule itself, and resolving it searches
+    # no other module's __all__
+    code = ("import sys, erdosmoser; module = erdosmoser.search; "
+            "print(module is sys.modules['erdosmoser.search'], "
+            "'erdosmoser.signanalysis' in sys.modules, 'erdosmoser.candidates' in sys.modules)")
+    assert fresh(code) == "True False False\n"

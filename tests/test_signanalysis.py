@@ -302,7 +302,6 @@ class TestDominanceSeries:
         assert series.decreasing_from_start is decreasing
 
     def test_equal_points_are_not_strictly_less(self):
-        case = CaseKind.EVEN_KM1
         for exact in (Fraction(3, 2), None):
             point = RatioPoint(4, exact, 1.5)
             assert not signanalysis._strictly_less(point._replace(k=6), point)
